@@ -14,15 +14,11 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .interferometer import (
-    PureState,
     ReducedSet,
     ScenarioSpec,
-    apply_detector,
-    build_initial_state,
     build_mixed_no_memory,
     gram_matrix,
     gram_to_states,
-    reduce_all,
     scenario_reduced,
 )
 from .coherence import (
@@ -49,6 +45,7 @@ from .discrimination import (
 )
 from .duality import (
     DualityReport,
+    Evaluation,
     Relation,
     TwoParticleScenario,
     check_accessible_relation,

@@ -6,15 +6,15 @@ Exit codes: 0 all relations satisfied, 1 at least one violation,
 from __future__ import annotations
 
 import sys
-from pathlib import Path
 
 import click
 
-from .discrimination import Ensemble, certificate_gap, min_error_solve, pairwise_bound
-from .duality import Relation, TwoParticleScenario
+from .discrimination import Ensemble, min_error_solve, pairwise_bound
+from .duality import Evaluation, Relation, TwoParticleScenario
 from .harness import (
     ScenarioParseError,
     SweepConfig,
+    _fmt,
     applicable_relations,
     DEFAULT_RELATIONS,
     default_out_dir,
@@ -26,10 +26,6 @@ from .harness import (
     witness_report,
 )
 from .interferometer import ScenarioSpec
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _exit_code(reports) -> int:
@@ -77,6 +73,7 @@ def check(scenario_file, relations, tol):
             wanted = [Relation(r) for r in relations]
         else:
             wanted = applicable_relations(DEFAULT_RELATIONS, obj.n, obj.d_b)
+        obj = Evaluation(obj)  # the relations share its reduced states and solve
     else:
         click.echo("error: ensemble files go with the `discriminate` command", err=True)
         sys.exit(2)
@@ -110,10 +107,9 @@ def check(scenario_file, relations, tol):
 @click.option("--relation", "relations", multiple=True,
               type=click.Choice([r.value for r in Relation]))
 @click.option("--jobs", type=int, default=1, help="Parallel worker processes.")
-@click.option("--serial", is_flag=True, help="Force single-threaded execution.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
-def sweep(seed, count, n_list, db_list, dd, relations, jobs, serial, out_path, fmt):
+def sweep(seed, count, n_list, db_list, dd, relations, jobs, out_path, fmt):
     """Run a randomized verification sweep and write a report file."""
     try:
         config = SweepConfig(
@@ -126,7 +122,7 @@ def sweep(seed, count, n_list, db_list, dd, relations, jobs, serial, out_path, f
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 
-    rows = run_sweep(config, jobs=1 if serial else max(1, jobs))
+    rows = run_sweep(config, jobs=jobs)
     if out_path is None:
         out_path = default_out_dir() / f"sweep-{seed}.{fmt}"
     emit(rows, fmt, out_path)

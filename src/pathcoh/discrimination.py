@@ -8,7 +8,7 @@ information.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +92,8 @@ class DiscriminationResult:
 
     `certificate_gap` is an upper bound on the optimal success probability
     minus `p_success`, so the optimum lies in
-    [p_success, p_success + certificate_gap].
+    [p_success, p_success + certificate_gap]. `iterations` counts the
+    fixed-point iterations run (0 for the closed form).
     """
 
     p_success: float
@@ -305,7 +306,7 @@ def min_error_solve(e: Ensemble, tol: float = 1e-10, max_iter: int = 10000) -> D
 
     best_gap = np.inf
     best_pis = [p.copy() for p in pis]
-    best_iter = 0
+    it = 0
     check_every = 5
     for it in range(1, max_iter + 1):
         mats = [weighted[i] @ pis[i] @ weighted[i] for i in range(n)]
@@ -324,7 +325,6 @@ def min_error_solve(e: Ensemble, tol: float = 1e-10, max_iter: int = 10000) -> D
             if gap < best_gap:
                 best_gap = gap
                 best_pis = [p.copy() for p in pis]
-                best_iter = it
             if gap <= tol:
                 break
 
@@ -342,7 +342,7 @@ def min_error_solve(e: Ensemble, tol: float = 1e-10, max_iter: int = 10000) -> D
         p_success=p_success,
         povm=povm,
         certificate_gap=float(best_gap),
-        iterations=best_iter,
+        iterations=it,
     )
 
 

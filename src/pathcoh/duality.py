@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .coherence import normalized_x, rel_ent_coherence
 from .discrimination import (
+    DiscriminationResult,
     Ensemble,
     Povm,
     accessible_info_lower,
@@ -17,6 +19,7 @@ from .discrimination import (
     mutual_information,
 )
 from .interferometer import (
+    ReducedSet,
     ScenarioSpec,
     build_mixed_no_memory,
     gram_matrix,
@@ -77,11 +80,44 @@ def detector_ensemble(spec: ScenarioSpec) -> Ensemble:
     return Ensemble(spec.path_probs, spec.detector_states)
 
 
-def check_l1_memory(spec: ScenarioSpec, solver_tol: float = 1e-10) -> DualityReport:
+class Evaluation:
+    """The quantities of one scenario that every relation reads.
+
+    Each is computed on first use and then kept, so the relations checked on
+    one scenario share one set of reduced states and one min-error solve per
+    tolerance. An evaluation lives as long as its scenario's checks do.
+    """
+
+    def __init__(self, spec: ScenarioSpec):
+        self.spec = spec
+        self._solves: dict[float, DiscriminationResult] = {}
+
+    @classmethod
+    def of(cls, target: ScenarioSpec | Evaluation) -> Evaluation:
+        return target if isinstance(target, Evaluation) else cls(target)
+
+    @cached_property
+    def reduced(self) -> ReducedSet:
+        return scenario_reduced(self.spec)
+
+    @cached_property
+    def ensemble(self) -> Ensemble:
+        return detector_ensemble(self.spec)
+
+    def solve(self, tol: float) -> DiscriminationResult:
+        """The min-error solve of the detector ensemble at `tol`, run once."""
+        if tol not in self._solves:
+            self._solves[tol] = min_error_solve(self.ensemble, tol=tol)
+        return self._solves[tol]
+
+
+def check_l1_memory(spec: ScenarioSpec | Evaluation,
+                    solver_tol: float = 1e-10) -> DualityReport:
     """Main relation: (P_s - 1/N)^2 + X^2 <= (1-1/N)^2 + 2(N-1)/N^2 (Tr rho_A^2 - Tr rho_AB^2)."""
-    n = spec.n
-    red = scenario_reduced(spec)
-    res = min_error_solve(detector_ensemble(spec), tol=solver_tol)
+    ev = Evaluation.of(spec)
+    n = ev.spec.n
+    red = ev.reduced
+    res = ev.solve(solver_tol)
     x = normalized_x(red.rho_a, n)
     pur_a = purity(red.rho_a)
     pur_ab = purity(red.rho_ab)
@@ -92,13 +128,20 @@ def check_l1_memory(spec: ScenarioSpec, solver_tol: float = 1e-10) -> DualityRep
     return _report(Relation.L1_MEMORY, lhs, rhs, comps, res.certified)
 
 
-def check_l1_no_memory(spec: ScenarioSpec, solver_tol: float = 1e-10) -> DualityReport:
+def _memoryless(spec: ScenarioSpec | Evaluation) -> Evaluation:
+    ev = Evaluation.of(spec)
+    if ev.spec.d_b != 1:
+        raise ValueError(f"memoryless relation needs d_B = 1, got {ev.spec.d_b}")
+    return ev
+
+
+def check_l1_no_memory(spec: ScenarioSpec | Evaluation,
+                       solver_tol: float = 1e-10) -> DualityReport:
     """Memoryless relation: (P_s - 1/N)^2 + X^2 <= (1-1/N)^2 (requires d_B = 1)."""
-    if spec.d_b != 1:
-        raise ValueError(f"memoryless relation needs d_B = 1, got {spec.d_b}")
-    n = spec.n
-    red = scenario_reduced(spec)
-    res = min_error_solve(detector_ensemble(spec), tol=solver_tol)
+    ev = _memoryless(spec)
+    n = ev.spec.n
+    red = ev.reduced
+    res = ev.solve(solver_tol)
     x = normalized_x(red.rho_a, n)
     lhs = (res.p_success - 1.0 / n) ** 2 + x**2
     rhs = (1.0 - 1.0 / n) ** 2
@@ -106,13 +149,14 @@ def check_l1_no_memory(spec: ScenarioSpec, solver_tol: float = 1e-10) -> Duality
     return _report(Relation.L1_NO_MEMORY, lhs, rhs, comps, res.certified)
 
 
-def check_two_path_equality(spec: ScenarioSpec) -> DualityReport:
+def check_two_path_equality(spec: ScenarioSpec | Evaluation) -> DualityReport:
     """N=2 equality via closed-form Helstrom:
     (P_s - 1/2)^2 + X^2 = 1/4 + (1/2)(Tr rho_A^2 - Tr rho_AB^2)."""
-    if spec.n != 2:
-        raise ValueError(f"two-path equality needs N = 2, got {spec.n}")
-    red = scenario_reduced(spec)
-    res = helstrom(detector_ensemble(spec))
+    ev = Evaluation.of(spec)
+    if ev.spec.n != 2:
+        raise ValueError(f"two-path equality needs N = 2, got {ev.spec.n}")
+    red = ev.reduced
+    res = helstrom(ev.ensemble)
     x = normalized_x(red.rho_a, 2)
     pur_a = purity(red.rho_a)
     pur_ab = purity(red.rho_ab)
@@ -123,14 +167,16 @@ def check_two_path_equality(spec: ScenarioSpec) -> DualityReport:
                    equality=True)
 
 
-def check_mixed_state(spec: ScenarioSpec, solver_tol: float = 1e-10) -> DualityReport:
+def check_mixed_state(spec: ScenarioSpec | Evaluation,
+                      solver_tol: float = 1e-10) -> DualityReport:
     """Mixed initial state, no memory: rhs uses Tr rho_A^2 - Tr rho_D^2.
 
     The memory dimension of `spec` only purifies the initial particle state.
     """
-    n = spec.n
-    _, _, rho_a, rho_d = build_mixed_no_memory(spec)
-    res = min_error_solve(detector_ensemble(spec), tol=solver_tol)
+    ev = Evaluation.of(spec)
+    n = ev.spec.n
+    _, rho_a, rho_d = build_mixed_no_memory(ev.spec)
+    res = ev.solve(solver_tol)
     x = normalized_x(rho_a, n)
     pur_a = purity(rho_a)
     pur_d = purity(rho_d)
@@ -143,33 +189,32 @@ def check_mixed_state(spec: ScenarioSpec, solver_tol: float = 1e-10) -> DualityR
     return _report(Relation.MIXED_STATE, lhs, rhs, comps, res.certified)
 
 
-def _entropic_sides(spec: ScenarioSpec, m: Povm | None, solver_tol: float):
-    red = scenario_reduced(spec)
+def _entropic_sides(ev: Evaluation, m: Povm | None, solver_tol: float):
+    red = ev.reduced
     certified = True
     if m is None:
-        res = min_error_solve(detector_ensemble(spec), tol=solver_tol)
+        res = ev.solve(solver_tol)
         m = res.povm
         certified = res.certified
-    info = mutual_information(detector_ensemble(spec), m)
+    info = mutual_information(ev.ensemble, m)
     c_r = rel_ent_coherence(red.rho_a)
     h_p = shannon_entropy(red.p)
-    return red, m, certified, info, c_r, h_p
+    return red, certified, info, c_r, h_p
 
 
-def check_entropic_no_memory(spec: ScenarioSpec, m: Povm | None = None,
+def check_entropic_no_memory(spec: ScenarioSpec | Evaluation, m: Povm | None = None,
                              solver_tol: float = 1e-10) -> DualityReport:
     """Entropic memoryless relation: I(D:M) + C_r(rho_A) <= H({p_i})."""
-    if spec.d_b != 1:
-        raise ValueError(f"memoryless relation needs d_B = 1, got {spec.d_b}")
-    _, _, certified, info, c_r, h_p = _entropic_sides(spec, m, solver_tol)
+    _, certified, info, c_r, h_p = _entropic_sides(_memoryless(spec), m, solver_tol)
     comps = {"I_DM": info, "C_r": c_r, "H_p": h_p}
     return _report(Relation.ENTROPIC_NO_MEMORY, info + c_r, h_p, comps, certified)
 
 
-def check_entropic_memory(spec: ScenarioSpec, m: Povm | None = None,
+def check_entropic_memory(spec: ScenarioSpec | Evaluation, m: Povm | None = None,
                           solver_tol: float = 1e-10) -> DualityReport:
     """Entropic relation with memory: I(D:M) + C_r(rho_A) <= H({p_i}) + S(B|A)."""
-    red, _, certified, info, c_r, h_p = _entropic_sides(spec, m, solver_tol)
+    red, certified, info, c_r, h_p = _entropic_sides(Evaluation.of(spec), m,
+                                                     solver_tol)
     s_a = von_neumann_entropy(red.rho_a)
     s_ab = von_neumann_entropy(red.rho_ab)
     s_d = von_neumann_entropy(red.rho_d)
@@ -183,16 +228,17 @@ def check_entropic_memory(spec: ScenarioSpec, m: Povm | None = None,
     return _report(Relation.ENTROPIC_MEMORY, lhs, rhs, comps, certified)
 
 
-def check_accessible_relation(spec: ScenarioSpec, restarts: int = 2, seed: int = 0,
-                              solver_tol: float = 1e-10) -> DualityReport:
+def check_accessible_relation(spec: ScenarioSpec | Evaluation, restarts: int = 2,
+                              seed: int = 0) -> DualityReport:
     """Acc(D) + C_r(rho_A) <= H({p_i}) + S(B|A).
 
     Only a lower bound on Acc(D) is computable; the report additionally
     verifies the sufficient condition holevo + C_r <= rhs, which implies
     the relation for every POVM.
     """
-    red = scenario_reduced(spec)
-    ens = detector_ensemble(spec)
+    ev = Evaluation.of(spec)
+    red = ev.reduced
+    ens = ev.ensemble
     acc = accessible_info_lower(ens, restarts=restarts, seed=seed)
     c_r = rel_ent_coherence(red.rho_a)
     h_p = shannon_entropy(red.p)

@@ -19,6 +19,7 @@ import numpy as np
 from .discrimination import Ensemble
 from .duality import (
     DualityReport,
+    Evaluation,
     Relation,
     TwoParticleScenario,
     check_accessible_relation,
@@ -32,7 +33,7 @@ from .duality import (
     entanglement_witnesses,
 )
 from .interferometer import ScenarioSpec, gram_to_states, scenario_reduced
-from .linalg import Dims, purity, von_neumann_entropy
+from .linalg import Dims
 from .sampling import haar_state, sample_scenario, subseed
 
 CSV_HEADER = "scenario_id,relation,n,d_b,lhs,rhs,slack,satisfied,certified,ms"
@@ -202,7 +203,9 @@ def sample_two_particle(rng, n: int, d_d: int | None = None) -> TwoParticleScena
 
 def run_relation(relation: Relation, spec, *, restarts: int = 2, seed: int = 0,
                  solver_tol: float = 1e-10) -> DualityReport:
-    """Evaluate one relation on a ScenarioSpec (or TwoParticleScenario)."""
+    """Evaluate one relation on a ScenarioSpec, an Evaluation of one (which
+    shares its reduced states and solves between calls), or a
+    TwoParticleScenario."""
     if relation is Relation.TWO_PARTICLE_SUM:
         return check_two_particle_sum(spec, solver_tol=solver_tol)
     if relation is Relation.L1_MEMORY:
@@ -218,8 +221,7 @@ def run_relation(relation: Relation, spec, *, restarts: int = 2, seed: int = 0,
     if relation is Relation.ENTROPIC_NO_MEMORY:
         return check_entropic_no_memory(spec, solver_tol=solver_tol)
     if relation is Relation.ACCESSIBLE:
-        return check_accessible_relation(spec, restarts=restarts, seed=seed,
-                                         solver_tol=solver_tol)
+        return check_accessible_relation(spec, restarts=restarts, seed=seed)
     raise ValueError(f"relation {relation} is not sweepable")
 
 
@@ -229,18 +231,16 @@ def _eval_task(config: SweepConfig, cell_idx: int, scen_idx: int) -> list[SweepR
     scenario_id = f"s{config.seed}-c{cell_idx}-i{scen_idx}"
     rows = []
 
-    need_single = any(r is not Relation.TWO_PARTICLE_SUM for r in relations)
-    spec = None
-    if need_single:
-        spec = sample_scenario(subseed(config.seed, cell_idx, scen_idx),
-                               n, d_b, config.d_d)
-    tp = None
+    ev = tp = None
+    if any(r is not Relation.TWO_PARTICLE_SUM for r in relations):
+        ev = Evaluation(sample_scenario(subseed(config.seed, cell_idx, scen_idx),
+                                        n, d_b, config.d_d))
     if Relation.TWO_PARTICLE_SUM in relations:
         tp = sample_two_particle(subseed(config.seed, cell_idx, scen_idx, 1),
                                  n, config.d_d)
 
     for rel in relations:
-        target = tp if rel is Relation.TWO_PARTICLE_SUM else spec
+        target = tp if rel is Relation.TWO_PARTICLE_SUM else ev
         t0 = time.perf_counter()
         rep = run_relation(rel, target, restarts=config.restarts,
                            seed=config.seed, solver_tol=config.solver_tol)
@@ -260,16 +260,18 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> list[SweepRow]:
 
     Row order is deterministic and independent of `jobs`; each scenario is
     generated from a substream keyed by (seed, cell index, scenario index).
+    At most one worker process per CPU and per scenario is started.
     """
     tasks = [(ci, si) for ci in range(len(config.cells()))
              for si in range(config.count)]
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
         chunks = [_eval_task(config, ci, si) for ci, si in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_eval_task, [config] * len(tasks),
                                    [t[0] for t in tasks], [t[1] for t in tasks],
-                                   chunksize=max(1, len(tasks) // (8 * jobs))))
+                                   chunksize=max(1, len(tasks) // (8 * workers))))
     return [row for chunk in chunks for row in chunk]
 
 

@@ -2,14 +2,14 @@
 
 The particle A enters an N-path interferometer while entangled with a
 memory B; a detector D is coupled by a controlled unitary that imprints
-|phi_i> on path i. This module builds the pure states before and after the
-detector interaction and every reduced density matrix used downstream.
+|phi_i> on path i. This module validates scenarios and builds every reduced
+density matrix of the post-interaction state used downstream.
 
 Conventions: gram[i, j] = <v_i|v_j>; amplitude tables are row i = path i.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,26 +120,6 @@ class ScenarioSpec:
 
 
 @dataclass(frozen=True)
-class PureState:
-    """A unit vector over labelled subsystems."""
-
-    dims: Dims
-    vector: np.ndarray
-
-    def __post_init__(self):
-        v = _as_complex(self.vector).ravel()
-        if v.size != self.dims.total:
-            raise ValueError(f"vector length {v.size} != dims product {self.dims.total}")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: |psi| = {norm:.12g}")
-        object.__setattr__(self, "vector", v)
-
-    def density(self) -> np.ndarray:
-        return np.outer(self.vector, self.vector.conj())
-
-
-@dataclass(frozen=True)
 class ReducedSet:
     """All reduced states of |Psi>_ABD plus the overlap tables they depend on."""
 
@@ -149,34 +129,20 @@ class ReducedSet:
     p: np.ndarray
     phi_gram: np.ndarray
     u_gram: np.ndarray
-    rho_bd: np.ndarray | None = None
 
 
-def build_initial_state(spec: ScenarioSpec) -> PureState:
-    """Particle-memory state |psi>_AB = sum_ij a_ij |i>_A |j>_B."""
-    dims = Dims.of(("A", spec.n), ("B", spec.d_b))
-    return PureState(dims, spec.amplitudes.ravel())
+def scenario_reduced(spec: ScenarioSpec) -> ReducedSet:
+    """Reduced density matrices of the post-interaction state.
 
-
-def apply_detector(state: PureState, spec: ScenarioSpec) -> PureState:
-    """Controlled-unitary detector coupling: path i imprints |phi_i>_D."""
-    if state.dims.names != ("A", "B") or state.dims.sizes != (spec.n, spec.d_b):
-        raise ValueError(f"state dims {state.dims} do not match the scenario")
-    ab = state.vector.reshape(spec.n, spec.d_b)
-    psi = np.einsum("ij,ik->ijk", ab, spec.detector_states)
+    The detector coupling maps |psi>_AB = sum_ij a_ij |i>_A |j>_B to
+    |Psi>_ABD = sum_ij a_ij |i>_A |j>_B |phi_i>_D, which is then partially traced.
+    """
     dims = Dims.of(("A", spec.n), ("B", spec.d_b), ("D", spec.d_d))
-    return PureState(dims, psi.ravel())
-
-
-def reduce_all(state: PureState, spec: ScenarioSpec, with_bd: bool = False) -> ReducedSet:
-    """All reduced density matrices of the post-interaction state."""
-    if state.dims.names != ("A", "B", "D"):
-        raise ValueError("expected a state over subsystems A, B, D")
-    rho = state.density()
-    rho_ab = partial_trace(rho, state.dims, {"A", "B"})
-    rho_a = partial_trace(rho, state.dims, {"A"})
-    rho_d = partial_trace(rho, state.dims, {"D"})
-    rho_bd = partial_trace(rho, state.dims, {"B", "D"}) if with_bd else None
+    psi = np.einsum("ij,ik->ijk", spec.amplitudes, spec.detector_states).ravel()
+    rho = np.outer(psi, psi.conj())
+    rho_ab = partial_trace(rho, dims, {"A", "B"})
+    rho_a = partial_trace(rho, dims, {"A"})
+    rho_d = partial_trace(rho, dims, {"D"})
     for m in (rho_ab, rho_a, rho_d):
         check_density_matrix(m)
     return ReducedSet(
@@ -186,21 +152,15 @@ def reduce_all(state: PureState, spec: ScenarioSpec, with_bd: bool = False) -> R
         p=spec.path_probs,
         phi_gram=gram_matrix(spec.detector_states),
         u_gram=gram_matrix(spec.memory_states),
-        rho_bd=rho_bd,
     )
-
-
-def scenario_reduced(spec: ScenarioSpec, with_bd: bool = False) -> ReducedSet:
-    """Shorthand: build, couple the detector, reduce."""
-    return reduce_all(apply_detector(build_initial_state(spec), spec), spec, with_bd)
 
 
 def build_mixed_no_memory(spec: ScenarioSpec):
     """Mixed-state run without memory: the memory only purifies rho^0_A.
 
-    Returns (rho0_a, rho_ad, rho_a, rho_d) where
+    Returns (rho0_a, rho_a, rho_d) where
     rho0_a[i, j] = sqrt(p_i p_j) <u_j|u_i> is the initial particle state and
-    rho_ad is its image under the detector coupling.
+    rho_a, rho_d are the particle and detector states after the coupling.
     """
     p = spec.path_probs
     sq = np.sqrt(p)
@@ -208,15 +168,9 @@ def build_mixed_no_memory(spec: ScenarioSpec):
     phig = gram_matrix(spec.detector_states)
     # <u_j|u_i> = ug[j, i]
     rho0_a = np.outer(sq, sq) * ug.T
-    n, d = spec.n, spec.d_d
-    rho_ad = np.zeros((n * d, n * d), dtype=complex)
     phi = spec.detector_states
-    for i in range(n):
-        for j in range(n):
-            block = np.outer(phi[i], phi[j].conj())
-            rho_ad[i * d:(i + 1) * d, j * d:(j + 1) * d] = rho0_a[i, j] * block
     rho_a = rho0_a * phig.T
     rho_d = np.einsum("i,ij,ik->jk", p, phi, phi.conj())
-    for m in (rho0_a, rho_ad, rho_a, rho_d):
+    for m in (rho0_a, rho_a, rho_d):
         check_density_matrix(m)
-    return rho0_a, rho_ad, rho_a, rho_d
+    return rho0_a, rho_a, rho_d

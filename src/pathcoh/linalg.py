@@ -55,10 +55,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return np.max(np.abs(m - dagger(m))) <= tol
-
-
 def require_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> None:
     dev = float(np.max(np.abs(m - dagger(m))))
     if dev > tol:

@@ -232,7 +232,7 @@ def test_criterion_11_haar_mean_purity():
 def test_criterion_12_sweep_determinism(tmp_path):
     runner = CliRunner()
     args = ["sweep", "--seed", "42", "--count", "3", "--n", "2,3",
-            "--db", "1,2", "--serial"]
+            "--db", "1,2"]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     r1 = runner.invoke(main, args + ["--out", str(p1)])
     r2 = runner.invoke(main, args + ["--out", str(p2)])

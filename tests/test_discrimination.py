@@ -230,6 +230,7 @@ class TestBarrierFallback:
         e = detector_ensemble(spec)
         res = min_error_solve(e)
         assert res.certified
+        assert res.iterations == 10000  # every fixed-point iteration ran
         assert res.p_success >= 0.9720669
         assert res.p_success <= pairwise_bound(e)
         rep = check_l1_memory(spec)

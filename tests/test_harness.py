@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from pathcoh import discrimination, duality, harness
 from pathcoh.cli import main
 from pathcoh.discrimination import Ensemble
 from pathcoh.duality import Relation, TwoParticleScenario
@@ -17,6 +18,7 @@ from pathcoh.harness import (
     emit_scenario,
     parse_rows,
     parse_scenario,
+    run_relation,
     run_sweep,
     sample_two_particle,
     summarize,
@@ -196,6 +198,43 @@ class TestRunSweep:
             assert a.lhs == b.lhs and a.rhs == b.rhs and a.slack == b.slack
             assert a.satisfied == b.satisfied and a.certified == b.certified
 
+    @pytest.mark.parametrize("jobs, cpus, count, workers", [
+        (64, 2, 2, 2),       # clamped to the CPU count
+        (64, 8, 3, 3),       # clamped to the number of scenarios
+        (3, 8, 4, 3),
+        (2, 1, 2, None),     # one CPU: serial
+        (8, None, 2, None),  # unknown CPU count counts as one
+        (4, 8, 1, None),     # one scenario: serial
+        (0, 2, 2, None),
+    ])
+    def test_worker_count_is_clamped(self, monkeypatch, jobs, cpus, count, workers):
+        pools = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, maps in-process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        cfg = SweepConfig(seed=11, count=count, n_values=(2,), d_b_values=(1,),
+                          relations=(Relation.TWO_PATH_EQUALITY,))
+        serial = run_sweep(cfg, jobs=1)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        rows = run_sweep(cfg, jobs=jobs)
+        assert pools == ([] if workers is None else [workers])
+        assert [(r.scenario_id, r.lhs, r.slack) for r in rows] == \
+               [(r.scenario_id, r.lhs, r.slack) for r in serial]
+
     def test_tol_override(self):
         cfg = SweepConfig(seed=5, count=2, n_values=(2,), d_b_values=(2,),
                           relations=(Relation.TWO_PATH_EQUALITY,),
@@ -203,6 +242,43 @@ class TestRunSweep:
         rows = run_sweep(cfg)
         # An impossibly tight tolerance flips rows to failed.
         assert any(not r.satisfied for r in rows)
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestSharedEvaluation:
+    def test_one_build_and_two_solves_per_scenario(self, monkeypatch):
+        # N = 3, d_B = 1: six default relations, five of them solver-backed.
+        cfg = SweepConfig(seed=101, count=1, n_values=(3,), d_b_values=(1,))
+        calls = []
+        _count_calls(monkeypatch, calls, duality, "scenario_reduced")
+        _count_calls(monkeypatch, calls, duality, "min_error_solve")
+        # accessible_info_lower solves at the default tolerance.
+        _count_calls(monkeypatch, calls, discrimination, "min_error_solve")
+        rows = harness._eval_task(cfg, 0, 0)
+        assert len(rows) == 6
+        assert calls.count("scenario_reduced") == 1
+        assert calls.count("min_error_solve") == 2
+
+    def test_sweep_matches_one_fresh_check_per_relation(self):
+        cfg = SweepConfig(seed=23, count=2, n_values=(2, 3), d_b_values=(1, 2))
+        rows = run_sweep(cfg)
+        assert len(rows) == 2 * (7 + 5 + 6 + 4)
+        for row in rows:
+            _, cell, index = (int(part[1:]) for part in row.scenario_id.split("-"))
+            spec = sample_scenario(subseed(cfg.seed, cell, index), row.n, row.d_b)
+            rep = run_relation(Relation(row.relation), spec, restarts=cfg.restarts,
+                               seed=cfg.seed, solver_tol=cfg.solver_tol)
+            assert (row.lhs, row.rhs, row.slack, row.satisfied, row.certified) == \
+                   (rep.lhs, rep.rhs, rep.slack, rep.satisfied, rep.solver_certified)
 
 
 class TestEmit:
@@ -297,7 +373,7 @@ class TestCli:
     def test_sweep_csv_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep", "--seed", "42", "--count", "2", "--n", "2,3",
-                "--db", "1,2", "--serial"]
+                "--db", "1,2"]
         r1 = self.run(*args, "--out", str(p1))
         r2 = self.run(*args, "--out", str(p2))
         assert r1.exit_code == 0 and r2.exit_code == 0

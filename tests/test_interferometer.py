@@ -3,12 +3,9 @@ import pytest
 
 from pathcoh.interferometer import (
     ScenarioSpec,
-    apply_detector,
-    build_initial_state,
     build_mixed_no_memory,
     gram_matrix,
     gram_to_states,
-    reduce_all,
     scenario_reduced,
 )
 from pathcoh.linalg import purity
@@ -30,6 +27,20 @@ def rho_a_closed_form(spec):
                          * np.vdot(phi[j], phi[i])
                          * np.vdot(u[j], u[i]))
     return out
+
+
+def initial_density(spec):
+    """|psi><psi| of the particle-memory state psi = sum_ij a_ij |i>_A |j>_B."""
+    psi = spec.amplitudes.ravel()
+    return np.outer(psi, psi.conj())
+
+
+def unmarked(amps):
+    """A scenario whose detector states are all equal, so the coupling leaves
+    rho_AB equal to the initial particle-memory state."""
+    phi = np.zeros((amps.shape[0], 2), dtype=complex)
+    phi[:, 0] = 1.0
+    return ScenarioSpec(amps, phi)
 
 
 def bell_spec(phi=None):
@@ -62,28 +73,27 @@ class TestScenarioSpec:
         assert spec.path_probs[1] == 0.0
         # Placeholder u for the dead path is still a unit vector.
         assert np.linalg.norm(spec.memory_states[1]) == pytest.approx(1.0)
-        reduce_all(apply_detector(build_initial_state(spec), spec), spec)
+        scenario_reduced(spec)
 
 
 class TestBuildInitialState:
+    """The initial particle-memory state, seen as rho_AB of an unmarked run."""
+
     def test_no_memory_product(self):
         amps = np.array([[1], [1]], dtype=complex) / np.sqrt(2)
-        spec = ScenarioSpec(amps, np.eye(2, dtype=complex))
-        state = build_initial_state(spec)
-        assert np.allclose(state.vector, [1 / np.sqrt(2), 1 / np.sqrt(2)])
+        red = scenario_reduced(unmarked(amps))
+        assert np.allclose(red.rho_ab, np.full((2, 2), 0.5))
 
     def test_bell_state(self):
-        state = build_initial_state(bell_spec())
-        rho = state.density()
-        from pathcoh.linalg import Dims, partial_trace
-        rho_a = partial_trace(rho, Dims.of(("A", 2), ("B", 2)), "A")
-        assert purity(rho_a) == pytest.approx(0.5, abs=1e-12)
+        red = scenario_reduced(unmarked(bell_spec().amplitudes))
+        assert purity(red.rho_ab) == pytest.approx(1.0, abs=1e-12)
+        assert purity(red.rho_a) == pytest.approx(0.5, abs=1e-12)
 
     def test_random_reconstruction(self):
         for s in range(20):
-            spec = sample_scenario(s, 3, 2)
-            state = build_initial_state(spec)
-            assert np.max(np.abs(state.vector - spec.amplitudes.ravel())) <= 1e-12
+            spec = unmarked(sample_scenario(s, 3, 2).amplitudes)
+            red = scenario_reduced(spec)
+            assert np.max(np.abs(red.rho_ab - initial_density(spec))) <= 1e-12
 
 
 class TestApplyDetector:
@@ -97,16 +107,15 @@ class TestApplyDetector:
     def test_trivial_detector_leaves_rho_ab(self):
         phi = np.array([[1, 0], [1, 0]], dtype=complex)
         spec = bell_spec(phi)
-        before = build_initial_state(spec).density()
         red = scenario_reduced(spec)
-        assert np.max(np.abs(red.rho_ab - before)) <= 1e-12
+        assert np.max(np.abs(red.rho_ab - initial_density(spec))) <= 1e-12
 
     def test_random_norm_and_rho_a(self):
         for s in range(30):
             spec = sample_scenario(100 + s, 3, 2)
-            state = apply_detector(build_initial_state(spec), spec)
-            assert abs(np.linalg.norm(state.vector) - 1.0) <= 1e-12
-            red = reduce_all(state, spec)
+            red = scenario_reduced(spec)
+            # Tr rho_AB = |Psi|^2: the coupling keeps the state normalized.
+            assert abs(np.trace(red.rho_ab) - 1.0) <= 1e-12
             assert np.max(np.abs(red.rho_a - rho_a_closed_form(spec))) <= 1e-12
 
 
@@ -136,25 +145,23 @@ class TestBuildMixedNoMemory:
     def test_pure_initial_state_purity_equality(self):
         for s in range(10):
             spec = sample_scenario(400 + s, 3, 1)  # d_B = 1: rho0_A pure
-            _, _, rho_a, rho_d = build_mixed_no_memory(spec)
+            _, rho_a, rho_d = build_mixed_no_memory(spec)
             assert abs(purity(rho_a) - purity(rho_d)) <= 1e-12
 
     def test_dephased_initial_state(self):
         # Orthogonal u_i: rho0_A diagonal, no coherence survives.
         amps = np.array([[1, 0], [0, 1]], dtype=complex) / np.sqrt(2)
         spec = ScenarioSpec(amps, np.eye(2, dtype=complex))
-        rho0, rho_ad, rho_a, _ = build_mixed_no_memory(spec)
+        rho0, rho_a, _ = build_mixed_no_memory(spec)
         assert np.max(np.abs(rho0 - np.eye(2) / 2)) <= 1e-12
         from pathcoh.coherence import l1_coherence
         assert l1_coherence(rho_a) == pytest.approx(0.0, abs=1e-12)
-        # Block-diagonal rho_AD: off-diagonal path blocks vanish
-        assert np.max(np.abs(rho_ad[:2, 2:])) <= 1e-12
 
     def test_matches_reduce_all(self):
         for s in range(20):
             spec = sample_scenario(500 + s, 3, 2)
             red = scenario_reduced(spec)
-            _, _, rho_a, rho_d = build_mixed_no_memory(spec)
+            _, rho_a, rho_d = build_mixed_no_memory(spec)
             assert np.max(np.abs(rho_a - red.rho_a)) <= 1e-12
             assert np.max(np.abs(rho_d - red.rho_d)) <= 1e-12
 
