@@ -1,8 +1,8 @@
 """Minimum-error discrimination of pure-state ensembles and path information.
 
 Covers the closed-form two-state optimum, the pairwise trace-norm upper
-bound, the pretty good measurement, an iterative optimal-POVM solver with a
-dual-barrier fallback and a dual optimality certificate, and the information
+bound, the pretty good measurement, an optimal-POVM solver by a log barrier
+on the dual program with a dual optimality certificate, and the information
 quantities I(D:M), the Holevo bound and a lower bound on accessible
 information.
 """
@@ -21,6 +21,8 @@ COMPLETE_TOL = 1e-9
 # on the optimal success probability, from a dual-feasible operator, minus
 # the P_s it reports -- is at most this.
 CERT_THRESHOLD = 1e-7
+# Central-path gap at which the min-error solve stops.
+SOLVER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,8 @@ class DiscriminationResult:
     `certificate_gap` is an upper bound on the optimal success probability
     minus `p_success`, so the optimum lies in
     [p_success, p_success + certificate_gap]. `iterations` counts the
-    fixed-point iterations run (0 for the closed form).
+    Newton steps of the dual barrier, over all its stages (0 for the closed
+    form).
     """
 
     p_success: float
@@ -203,19 +206,32 @@ def pairwise_bound(e: Ensemble) -> float:
     return 1.0 / n + total / (2.0 * n)
 
 
+def _square_root_measurement(e: Ensemble,
+                             weights: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Elements S^{-1/2} w_i |phi_i><phi_i| S^{-1/2} with
+    S = sum_i w_i |phi_i><phi_i|, and the projector onto the null space of S."""
+    s = np.einsum("i,ij,ik->jk", weights, e.states, e.states.conj())
+    inv_root = _herm_power(s, -0.5)
+    elements = [w * (inv_root @ r @ inv_root) for w, r in zip(weights, e.projectors())]
+    return elements, _support_and_null(s)
+
+
 def pretty_good_measurement(e: Ensemble) -> Povm:
     """Pi_i = rho^{-1/2} p_i |phi_i><phi_i| rho^{-1/2} with rho = sum p_i rho_i.
 
     When rho is rank-deficient a completion element on the null space is
-    appended so the elements sum to identity.
+    appended so the elements sum to identity. An eigenvalue of rho just above
+    the inverse root's cutoff (a path probability near 1e-9, say) amplifies
+    rounding until the elements are no longer PSD or complete; `_renormalize`
+    then restores both.
     """
-    rho = e.average_state()
-    inv_root = _herm_power(rho, -0.5)
-    elements = [e.probs[i] * (inv_root @ r @ inv_root) for i, r in enumerate(e.projectors())]
-    null = _support_and_null(rho)
+    elements, null = _square_root_measurement(e, e.probs)
     if np.max(np.abs(null)) > 1e-9:
         elements.append(null)
-    return Povm(tuple(elements))
+    try:
+        return Povm(tuple(elements))
+    except ValueError:
+        return Povm(tuple(_renormalize(elements)))
 
 
 def _project_psd(m: np.ndarray) -> np.ndarray:
@@ -239,7 +255,7 @@ def _renormalize(elements: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _barrier_solve(e: Ensemble, tol: float) -> tuple[Povm, np.ndarray]:
+def _barrier_solve(e: Ensemble, tol: float) -> tuple[Povm, np.ndarray, int]:
     """Solve the dual program min Tr Y s.t. Y >= p_i rho_i by a log barrier.
 
     Follows the central path of t Tr Y - sum_i log det(Y - p_i rho_i) with
@@ -248,7 +264,7 @@ def _barrier_solve(e: Ensemble, tol: float) -> tuple[Povm, np.ndarray]:
     n*d/t reaches `tol`. On the central path Pi_i = (Y - p_i rho_i)^{-1} / t
     sum to identity and are optimal up to that gap (Eldar, Megretski &
     Verghese, IEEE Trans. IT 49, 1007 (2003)); they are renormalized into a
-    POVM. Returns the POVM and the dual operator Y.
+    POVM. Returns the POVM, the dual operator Y and the Newton steps taken.
     """
     n, d = e.n, e.dim
     weighted = np.einsum("i,ij,ik->ijk", e.probs, e.states, e.states.conj())
@@ -257,6 +273,7 @@ def _barrier_solve(e: Ensemble, tol: float) -> tuple[Povm, np.ndarray]:
     # Double precision cannot resolve a central-path gap much below 1e-12.
     t_final = n * d / max(tol, 1e-12)
     t = 1.0
+    steps = 0
     while True:
         for _ in range(50):  # Newton steps per stage; centering takes ~10
             inv = np.linalg.inv(y - weighted)
@@ -271,78 +288,38 @@ def _barrier_solve(e: Ensemble, tol: float) -> tuple[Povm, np.ndarray]:
             # A damped step stays inside the barrier's domain (self-concordance).
             lam = np.sqrt(decrement)
             y = y + (step if lam < 0.25 else step / (1.0 + lam))
+            steps += 1
         if t >= t_final:
             break
         t = min(30.0 * t, t_final)
     inv = np.linalg.inv(y - weighted)
-    return Povm(tuple(_renormalize(list(inv / t)))), y
+    return Povm(tuple(_renormalize(list(inv / t)))), y, steps
 
 
-def min_error_solve(e: Ensemble, tol: float = 1e-10, max_iter: int = 10000) -> DiscriminationResult:
-    """Optimal-POVM search by damped fixed-point iteration, seeded at the PGM.
+def min_error_solve(e: Ensemble) -> DiscriminationResult:
+    """Optimal POVM from `_barrier_solve`, polished by one square-root step.
 
-    Each step maps Pi_i -> S^{-1/2} R_i Pi_i R_i S^{-1/2} with
-    R_i = p_i |phi_i><phi_i| and S = sum_j R_j Pi_j R_j, blends it with the
-    previous iterate (damping 0.5) and re-projects onto the completeness
-    manifold. Terminates when the dual feasibility residual g of the
-    iterate drops below `tol`; the iterate's certificate gap is d*g, since
-    its Lagrange operator has trace P_s and Y + g*I is dual-feasible.
-
-    The iteration can stall at a suboptimal attracting point. When the best
-    iterate's gap is still above CERT_THRESHOLD, the dual program is solved
-    by `_barrier_solve`, whose gap is Tr Y + d*g(Y) - P_s, and the candidate
-    with the smaller gap is returned.
+    The barrier's measurement lies about SOLVER_TOL below the optimum. One
+    weighted square-root-measurement step from it, with weights
+    c_i = p_i^2 <phi_i|Pi_i|phi_i>, usually closes that distance; it is kept
+    only when its P_s is higher. The certificate gap is
+    Tr Y + d*g(Y) - P_s for the barrier's dual operator Y.
     """
-    n, d = e.n, e.dim
-    rhos = e.projectors()
-    weighted = [e.probs[i] * rhos[i] for i in range(n)]
-
-    seed = pretty_good_measurement(e).elements
-    pis = [np.array(el) for el in seed[:n]]
-    if len(seed) > n:
-        # Fold the PGM completion element evenly into the N outcomes.
-        for i in range(n):
-            pis[i] = pis[i] + seed[n] / n
-
-    best_gap = np.inf
-    best_pis = [p.copy() for p in pis]
-    it = 0
-    check_every = 5
-    for it in range(1, max_iter + 1):
-        mats = [weighted[i] @ pis[i] @ weighted[i] for i in range(n)]
-        s = sum(mats)
-        s = (s + dagger(s)) / 2
-        inv_root = _herm_power(s, -0.5)
-        null = _support_and_null(s)
-        new = [inv_root @ m @ inv_root + null / n for m in mats]
-        pis = [0.5 * pis[i] + 0.5 * new[i] for i in range(n)]
-        pis = [(p + dagger(p)) / 2 for p in pis]
-        pis = _renormalize(pis)
-
-        if it % check_every == 0 or it == max_iter:
-            povm = Povm(tuple(pis))
-            gap = certificate_gap(e, povm)
-            if gap < best_gap:
-                best_gap = gap
-                best_pis = [p.copy() for p in pis]
-            if gap <= tol:
-                break
-
-    povm = Povm(tuple(best_pis))
+    povm, y, steps = _barrier_solve(e, SOLVER_TOL)
     p_success = success_probability(e, povm)
-    best_gap *= d  # residual g -> gap d*g
-    if best_gap > CERT_THRESHOLD:
-        fallback, y = _barrier_solve(e, tol)
-        fallback_p = success_probability(e, fallback)
-        gap = float(np.trace(y).real) + d * _dual_residual(e, rhos, y) - fallback_p
-        if gap < best_gap:
-            povm, p_success, best_gap = fallback, fallback_p, gap
-
+    weights = np.array([p * (s.conj() @ el @ s).real
+                        for p, s, el in zip(e.probs**2, e.states, povm.elements)])
+    elements, null = _square_root_measurement(e, weights)
+    polished = Povm(tuple(_renormalize([el + null / e.n for el in elements])))
+    polished_p = success_probability(e, polished)
+    if polished_p > p_success:
+        povm, p_success = polished, polished_p
+    upper = float(np.trace(y).real) + e.dim * _dual_residual(e, e.projectors(), y)
     return DiscriminationResult(
         p_success=p_success,
         povm=povm,
-        certificate_gap=float(best_gap),
-        iterations=it,
+        certificate_gap=upper - p_success,
+        iterations=steps,
     )
 
 
@@ -395,14 +372,15 @@ def _hill_climb(e: Ensemble, m: Povm, rng, steps: int = 40) -> float:
     return best
 
 
-def accessible_info_lower(e: Ensemble, restarts: int = 4, seed: int = 0) -> float:
+def accessible_info_lower(e: Ensemble, min_error_povm: Povm, restarts: int = 4,
+                          seed: int = 0) -> float:
     """Certified lower bound on the accessible information Acc(D), in bits.
 
-    Best I(D:M) over the min-error POVM, the PGM, and `restarts` random
-    rank-1 POVMs refined by local ascent. Monotone in `restarts` for a
-    fixed seed.
+    Best I(D:M) over the min-error POVM (from `min_error_solve`), the PGM,
+    and `restarts` random rank-1 POVMs refined by local ascent. Monotone in
+    `restarts` for a fixed seed.
     """
-    best = mutual_information(e, min_error_solve(e).povm)
+    best = mutual_information(e, min_error_povm)
     best = max(best, mutual_information(e, pretty_good_measurement(e)))
     for r in range(restarts):
         rng = subseed(seed, r)

@@ -84,13 +84,12 @@ class Evaluation:
     """The quantities of one scenario that every relation reads.
 
     Each is computed on first use and then kept, so the relations checked on
-    one scenario share one set of reduced states and one min-error solve per
-    tolerance. An evaluation lives as long as its scenario's checks do.
+    one scenario share one set of reduced states and one min-error solve. An
+    evaluation lives as long as its scenario's checks do.
     """
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
-        self._solves: dict[float, DiscriminationResult] = {}
 
     @classmethod
     def of(cls, target: ScenarioSpec | Evaluation) -> Evaluation:
@@ -104,20 +103,18 @@ class Evaluation:
     def ensemble(self) -> Ensemble:
         return detector_ensemble(self.spec)
 
-    def solve(self, tol: float) -> DiscriminationResult:
-        """The min-error solve of the detector ensemble at `tol`, run once."""
-        if tol not in self._solves:
-            self._solves[tol] = min_error_solve(self.ensemble, tol=tol)
-        return self._solves[tol]
+    @cached_property
+    def solution(self) -> DiscriminationResult:
+        """The min-error solve of the detector ensemble."""
+        return min_error_solve(self.ensemble)
 
 
-def check_l1_memory(spec: ScenarioSpec | Evaluation,
-                    solver_tol: float = 1e-10) -> DualityReport:
+def check_l1_memory(spec: ScenarioSpec | Evaluation) -> DualityReport:
     """Main relation: (P_s - 1/N)^2 + X^2 <= (1-1/N)^2 + 2(N-1)/N^2 (Tr rho_A^2 - Tr rho_AB^2)."""
     ev = Evaluation.of(spec)
     n = ev.spec.n
     red = ev.reduced
-    res = ev.solve(solver_tol)
+    res = ev.solution
     x = normalized_x(red.rho_a, n)
     pur_a = purity(red.rho_a)
     pur_ab = purity(red.rho_ab)
@@ -135,13 +132,12 @@ def _memoryless(spec: ScenarioSpec | Evaluation) -> Evaluation:
     return ev
 
 
-def check_l1_no_memory(spec: ScenarioSpec | Evaluation,
-                       solver_tol: float = 1e-10) -> DualityReport:
+def check_l1_no_memory(spec: ScenarioSpec | Evaluation) -> DualityReport:
     """Memoryless relation: (P_s - 1/N)^2 + X^2 <= (1-1/N)^2 (requires d_B = 1)."""
     ev = _memoryless(spec)
     n = ev.spec.n
     red = ev.reduced
-    res = ev.solve(solver_tol)
+    res = ev.solution
     x = normalized_x(red.rho_a, n)
     lhs = (res.p_success - 1.0 / n) ** 2 + x**2
     rhs = (1.0 - 1.0 / n) ** 2
@@ -167,8 +163,7 @@ def check_two_path_equality(spec: ScenarioSpec | Evaluation) -> DualityReport:
                    equality=True)
 
 
-def check_mixed_state(spec: ScenarioSpec | Evaluation,
-                      solver_tol: float = 1e-10) -> DualityReport:
+def check_mixed_state(spec: ScenarioSpec | Evaluation) -> DualityReport:
     """Mixed initial state, no memory: rhs uses Tr rho_A^2 - Tr rho_D^2.
 
     The memory dimension of `spec` only purifies the initial particle state.
@@ -176,7 +171,7 @@ def check_mixed_state(spec: ScenarioSpec | Evaluation,
     ev = Evaluation.of(spec)
     n = ev.spec.n
     _, rho_a, rho_d = build_mixed_no_memory(ev.spec)
-    res = ev.solve(solver_tol)
+    res = ev.solution
     x = normalized_x(rho_a, n)
     pur_a = purity(rho_a)
     pur_d = purity(rho_d)
@@ -189,11 +184,11 @@ def check_mixed_state(spec: ScenarioSpec | Evaluation,
     return _report(Relation.MIXED_STATE, lhs, rhs, comps, res.certified)
 
 
-def _entropic_sides(ev: Evaluation, m: Povm | None, solver_tol: float):
+def _entropic_sides(ev: Evaluation, m: Povm | None):
     red = ev.reduced
     certified = True
     if m is None:
-        res = ev.solve(solver_tol)
+        res = ev.solution
         m = res.povm
         certified = res.certified
     info = mutual_information(ev.ensemble, m)
@@ -202,19 +197,18 @@ def _entropic_sides(ev: Evaluation, m: Povm | None, solver_tol: float):
     return red, certified, info, c_r, h_p
 
 
-def check_entropic_no_memory(spec: ScenarioSpec | Evaluation, m: Povm | None = None,
-                             solver_tol: float = 1e-10) -> DualityReport:
+def check_entropic_no_memory(spec: ScenarioSpec | Evaluation,
+                             m: Povm | None = None) -> DualityReport:
     """Entropic memoryless relation: I(D:M) + C_r(rho_A) <= H({p_i})."""
-    _, certified, info, c_r, h_p = _entropic_sides(_memoryless(spec), m, solver_tol)
+    _, certified, info, c_r, h_p = _entropic_sides(_memoryless(spec), m)
     comps = {"I_DM": info, "C_r": c_r, "H_p": h_p}
     return _report(Relation.ENTROPIC_NO_MEMORY, info + c_r, h_p, comps, certified)
 
 
-def check_entropic_memory(spec: ScenarioSpec | Evaluation, m: Povm | None = None,
-                          solver_tol: float = 1e-10) -> DualityReport:
+def check_entropic_memory(spec: ScenarioSpec | Evaluation,
+                          m: Povm | None = None) -> DualityReport:
     """Entropic relation with memory: I(D:M) + C_r(rho_A) <= H({p_i}) + S(B|A)."""
-    red, certified, info, c_r, h_p = _entropic_sides(Evaluation.of(spec), m,
-                                                     solver_tol)
+    red, certified, info, c_r, h_p = _entropic_sides(Evaluation.of(spec), m)
     s_a = von_neumann_entropy(red.rho_a)
     s_ab = von_neumann_entropy(red.rho_ab)
     s_d = von_neumann_entropy(red.rho_d)
@@ -239,7 +233,7 @@ def check_accessible_relation(spec: ScenarioSpec | Evaluation, restarts: int = 2
     ev = Evaluation.of(spec)
     red = ev.reduced
     ens = ev.ensemble
-    acc = accessible_info_lower(ens, restarts=restarts, seed=seed)
+    acc = accessible_info_lower(ens, ev.solution.povm, restarts=restarts, seed=seed)
     c_r = rel_ent_coherence(red.rho_a)
     h_p = shannon_entropy(red.p)
     s_a = von_neumann_entropy(red.rho_a)
@@ -290,8 +284,7 @@ class TwoParticleScenario:
         return self.amplitudes.shape[0]
 
 
-def check_two_particle_sum(tp: TwoParticleScenario,
-                           solver_tol: float = 1e-10) -> DualityReport:
+def check_two_particle_sum(tp: TwoParticleScenario) -> DualityReport:
     """Sum of the main relation over both particles.
 
     Each particle's purity term is the one appearing in its own relation:
@@ -316,8 +309,7 @@ def check_two_particle_sum(tp: TwoParticleScenario,
     if n == 2:
         res_a, res_b = helstrom(ens_a), helstrom(ens_b)
     else:
-        res_a = min_error_solve(ens_a, tol=solver_tol)
-        res_b = min_error_solve(ens_b, tol=solver_tol)
+        res_a, res_b = min_error_solve(ens_a), min_error_solve(ens_b)
 
     x_a = normalized_x(rho_a, n)
     x_b = normalized_x(rho_b, n)

@@ -141,7 +141,6 @@ class SweepConfig:
     relations: tuple[Relation, ...] | None = None  # None: all applicable
     tol_overrides: dict = field(default_factory=dict)
     restarts: int = 2  # accessible-information restarts
-    solver_tol: float = 1e-9
 
     def __post_init__(self):
         if self.count < 1:
@@ -201,25 +200,25 @@ def sample_two_particle(rng, n: int, d_d: int | None = None) -> TwoParticleScena
     return TwoParticleScenario(amps, da, db)
 
 
-def run_relation(relation: Relation, spec, *, restarts: int = 2, seed: int = 0,
-                 solver_tol: float = 1e-10) -> DualityReport:
+def run_relation(relation: Relation, spec, *, restarts: int = 2,
+                 seed: int = 0) -> DualityReport:
     """Evaluate one relation on a ScenarioSpec, an Evaluation of one (which
-    shares its reduced states and solves between calls), or a
+    shares its reduced states and solve between calls), or a
     TwoParticleScenario."""
     if relation is Relation.TWO_PARTICLE_SUM:
-        return check_two_particle_sum(spec, solver_tol=solver_tol)
+        return check_two_particle_sum(spec)
     if relation is Relation.L1_MEMORY:
-        return check_l1_memory(spec, solver_tol=solver_tol)
+        return check_l1_memory(spec)
     if relation is Relation.L1_NO_MEMORY:
-        return check_l1_no_memory(spec, solver_tol=solver_tol)
+        return check_l1_no_memory(spec)
     if relation is Relation.TWO_PATH_EQUALITY:
         return check_two_path_equality(spec)
     if relation is Relation.MIXED_STATE:
-        return check_mixed_state(spec, solver_tol=solver_tol)
+        return check_mixed_state(spec)
     if relation is Relation.ENTROPIC_MEMORY:
-        return check_entropic_memory(spec, solver_tol=solver_tol)
+        return check_entropic_memory(spec)
     if relation is Relation.ENTROPIC_NO_MEMORY:
-        return check_entropic_no_memory(spec, solver_tol=solver_tol)
+        return check_entropic_no_memory(spec)
     if relation is Relation.ACCESSIBLE:
         return check_accessible_relation(spec, restarts=restarts, seed=seed)
     raise ValueError(f"relation {relation} is not sweepable")
@@ -242,8 +241,7 @@ def _eval_task(config: SweepConfig, cell_idx: int, scen_idx: int) -> list[SweepR
     for rel in relations:
         target = tp if rel is Relation.TWO_PARTICLE_SUM else ev
         t0 = time.perf_counter()
-        rep = run_relation(rel, target, restarts=config.restarts,
-                           seed=config.seed, solver_tol=config.solver_tol)
+        rep = run_relation(rel, target, restarts=config.restarts, seed=config.seed)
         ms = (time.perf_counter() - t0) * 1e3
         tol = config.tol_overrides.get(rel)
         ok = rep.satisfied if tol is None else (

@@ -84,11 +84,6 @@ class ScenarioSpec:
         object.__setattr__(self, "amplitudes", a)
         object.__setattr__(self, "detector_states", phi)
 
-    @classmethod
-    def with_gram(cls, amplitudes, detector_gram) -> "ScenarioSpec":
-        """Build a spec specifying detector states by their overlap table."""
-        return cls(_as_complex(amplitudes), gram_to_states(detector_gram))
-
     @property
     def n(self) -> int:
         return self.amplitudes.shape[0]

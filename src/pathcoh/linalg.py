@@ -42,9 +42,6 @@ class Dims:
     def total(self) -> int:
         return int(np.prod(self.sizes))
 
-    def size(self, name: str) -> int:
-        return self.sizes[self.names.index(name)]
-
     def keep(self, names) -> "Dims":
         names = set(names)
         pairs = [(n, s) for n, s in zip(self.names, self.sizes) if n in names]

@@ -221,16 +221,44 @@ class TestMinErrorSolve:
             assert success_probability(e, m) <= res.p_success + 1e-7
 
 
+def geometrically_uniform(rng, n):
+    """Equiprobable states U^k |phi0>, k < n, with U = diag(w^m_l) and
+    w = exp(2 pi i / n), and the exact eigenvalues of their Gram matrix,
+    mu_k = n * sum_{l: m_l = k} |phi0_l|^2 (the Gram matrix is circulant)."""
+    d = int(rng.integers(1, n + 1))
+    phi0 = haar_state(rng, d)
+    m = rng.integers(0, n, size=d)
+    states = np.array([phi0 * np.exp(2j * np.pi * k * m / n) for k in range(n)])
+    mu = n * np.bincount(m, weights=np.abs(phi0) ** 2, minlength=n)
+    return Ensemble(np.full(n, 1 / n), states), mu
+
+
+class TestGeometricallyUniform:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_square_root_measurement_optimum(self, n):
+        # The square-root measurement is optimal for these ensembles, with
+        # P_s = (sum_k sqrt(mu_k))^2 / n^2 (Eldar & Forney, IEEE Trans. IT
+        # 47, 858 (2001)); the solver's bracket must contain it.
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(8):
+            e, mu = geometrically_uniform(rng, n)
+            oracle = float(np.sum(np.sqrt(mu))) ** 2 / n**2
+            res = min_error_solve(e)
+            assert res.certified
+            assert res.p_success <= oracle + 1e-12
+            assert oracle <= res.p_success + res.certificate_gap + 1e-12
+
+
 class TestBarrierFallback:
     def test_stalled_scenario_certified(self):
-        # The fixed-point iteration stalls on this scenario (one path has
-        # p ~ 7e-5) at a residual of 6e-7 with P_s = 0.97206613, below the
-        # optimum 0.97206695.
+        # A PGM-seeded fixed-point iteration stalls on this scenario (one
+        # path has p ~ 7e-5) at a residual of 6e-7 with P_s = 0.97206613,
+        # below the optimum 0.97206695.
         spec = sample_scenario(subseed(101, 8, 405), 4, 1)
         e = detector_ensemble(spec)
         res = min_error_solve(e)
         assert res.certified
-        assert res.iterations == 10000  # every fixed-point iteration ran
+        assert 0 < res.iterations <= 150  # Newton steps of the dual barrier
         assert res.p_success >= 0.9720669
         assert res.p_success <= pairwise_bound(e)
         rep = check_l1_memory(spec)
@@ -241,7 +269,7 @@ class TestBarrierFallback:
             rng = np.random.default_rng(900 + s)
             n = 2 + s % 4
             e = random_ensemble(rng, n, int(rng.integers(1, n + 1)))
-            povm, y = _barrier_solve(e, 1e-10)
+            povm, y, _ = _barrier_solve(e, 1e-10)
             for p, rho in zip(e.probs, e.projectors()):
                 assert np.linalg.eigvalsh(y - p * rho).min() >= 0.0
             gap = np.trace(y).real - success_probability(e, povm)
@@ -290,18 +318,21 @@ class TestInformation:
 class TestAccessibleInfoLower:
     def test_orthonormal(self):
         e = Ensemble(np.full(2, 0.5), np.eye(2, dtype=complex))
-        assert accessible_info_lower(e, restarts=0) == pytest.approx(1.0, abs=1e-8)
+        m = min_error_solve(e).povm
+        assert accessible_info_lower(e, m, restarts=0) == pytest.approx(1.0, abs=1e-8)
 
     def test_identical_states(self):
         e = Ensemble(np.full(2, 0.5), np.array([[1, 0], [1, 0]], dtype=complex))
-        assert accessible_info_lower(e, restarts=1) == pytest.approx(0.0, abs=1e-8)
+        m = min_error_solve(e).povm
+        assert accessible_info_lower(e, m, restarts=1) == pytest.approx(0.0, abs=1e-8)
 
     def test_bracket_and_restart_monotonicity(self):
         for s in range(5):
             rng = np.random.default_rng(s)
             e = random_ensemble(rng, 3, 2)
-            lo0 = accessible_info_lower(e, restarts=0, seed=7)
-            lo2 = accessible_info_lower(e, restarts=2, seed=7)
+            m = min_error_solve(e).povm
+            lo0 = accessible_info_lower(e, m, restarts=0, seed=7)
+            lo2 = accessible_info_lower(e, m, restarts=2, seed=7)
             assert lo0 <= lo2 + 1e-12
             assert -1e-10 <= lo2 <= holevo(e) + 1e-9
 

@@ -25,7 +25,7 @@ from pathcoh.harness import (
     witness_report,
 )
 from pathcoh.interferometer import ScenarioSpec
-from pathcoh.sampling import sample_scenario, subseed
+from pathcoh.sampling import haar_state, sample_scenario, subseed
 
 S = 1 / np.sqrt(2)
 
@@ -261,12 +261,12 @@ class TestSharedEvaluation:
         calls = []
         _count_calls(monkeypatch, calls, duality, "scenario_reduced")
         _count_calls(monkeypatch, calls, duality, "min_error_solve")
-        # accessible_info_lower solves at the default tolerance.
         _count_calls(monkeypatch, calls, discrimination, "min_error_solve")
         rows = harness._eval_task(cfg, 0, 0)
         assert len(rows) == 6
         assert calls.count("scenario_reduced") == 1
-        assert calls.count("min_error_solve") == 2
+        # ACCESSIBLE reads the shared solve's POVM too.
+        assert calls.count("min_error_solve") == 1
 
     def test_sweep_matches_one_fresh_check_per_relation(self):
         cfg = SweepConfig(seed=23, count=2, n_values=(2, 3), d_b_values=(1, 2))
@@ -276,7 +276,7 @@ class TestSharedEvaluation:
             _, cell, index = (int(part[1:]) for part in row.scenario_id.split("-"))
             spec = sample_scenario(subseed(cfg.seed, cell, index), row.n, row.d_b)
             rep = run_relation(Relation(row.relation), spec, restarts=cfg.restarts,
-                               seed=cfg.seed, solver_tol=cfg.solver_tol)
+                               seed=cfg.seed)
             assert (row.lhs, row.rhs, row.slack, row.satisfied, row.certified) == \
                    (rep.lhs, rep.rhs, rep.slack, rep.satisfied, rep.solver_certified)
 
@@ -383,6 +383,19 @@ class TestCli:
         res = self.run("sweep", "--seed", "1", "--count", "0", "--n", "2",
                        "--db", "1", "--out", str(tmp_path / "x.csv"))
         assert res.exit_code == 2
+
+    def test_check_tiny_path_probability(self, tmp_path):
+        # p_2 = 1e-9 leaves rho_D an eigenvalue just above the inverse-root
+        # cutoff, where the pretty good measurement loses PSD-ness to rounding.
+        rng = np.random.default_rng(0)
+        p = np.array([0.97 - 1e-9, 1e-9, 0.03])
+        phi = np.array([haar_state(rng, 3) for _ in range(3)])
+        path = tmp_path / "tiny.json"
+        emit_scenario(ScenarioSpec(np.sqrt(p)[:, None], phi), path)
+        res = self.run("check", str(path))
+        assert res.exit_code == 0, res.output
+        assert res.output.count("PASS") == 6
+        assert "UNCERTIFIED" not in res.output
 
     def test_discriminate(self, tmp_path):
         p = write_doc(tmp_path, ENSEMBLE_DOC)
