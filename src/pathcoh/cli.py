@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 all relations satisfied, 1 at least one violation,
-2 input/config error, 3 solver failed certification on any row.
+2 input/config error, 3 solver failed certification on any row,
+4 internal error (a failed internal invariant or a numerical failure).
 """
 from __future__ import annotations
 
 import sys
 
 import click
+import numpy as np
 
 from .discrimination import Ensemble, min_error_solve, pairwise_bound
 from .duality import Evaluation, Relation, TwoParticleScenario
@@ -82,6 +84,10 @@ def check(scenario_file, relations, tol):
     for rel in wanted:
         try:
             rep = run_relation(rel, obj)
+        except (AssertionError, np.linalg.LinAlgError) as exc:
+            # LinAlgError is a ValueError, but the input was valid.
+            click.echo(f"internal error: {rel.value}: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(4)
         except ValueError as exc:
             click.echo(f"error: {rel.value}: {exc}", err=True)
             sys.exit(2)

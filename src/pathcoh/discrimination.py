@@ -71,15 +71,15 @@ class Povm:
         if not els:
             raise ValueError("POVM needs at least one element")
         d = els[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
         for k, e in enumerate(els):
             if e.shape != (d, d):
                 raise ValueError(f"element {k} has shape {e.shape}, expected {(d, d)}")
-            w = np.linalg.eigvalsh((e + dagger(e)) / 2)
-            if float(w.min()) < -PSD_TOL:
-                raise ValueError(f"element {k} is not PSD: min eigenvalue {w.min():.3e}")
-            total += e
-        if np.max(np.abs(total - np.eye(d))) > COMPLETE_TOL:
+        stack = np.array(els)
+        low = np.linalg.eigvalsh((stack + dagger(stack)) / 2).min(axis=-1)
+        bad = np.flatnonzero(low < -PSD_TOL)
+        if bad.size:
+            raise ValueError(f"element {bad[0]} is not PSD: min eigenvalue {low[bad[0]]:.3e}")
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(d))) > COMPLETE_TOL:
             raise ValueError("POVM elements do not sum to identity")
         object.__setattr__(self, "elements", els)
 
@@ -149,18 +149,14 @@ def certificate_gap(e: Ensemble, m: Povm) -> float:
     return _dual_residual(e, rhos, (y + dagger(y)) / 2)
 
 
-def _herm_power(m: np.ndarray, power: float, cutoff: float = 1e-12) -> np.ndarray:
-    """m^power on the support of Hermitian PSD m (eigenvalues <= cutoff -> 0)."""
+def _herm_power(m: np.ndarray, power: float,
+                cutoff: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """m^power on the support of Hermitian PSD m (eigenvalues <= cutoff -> 0),
+    and the projector onto its null space; m may be a stack (..., d, d)."""
     w, v = eigh(m)
+    null = (v * (w <= cutoff).astype(float)[..., None, :]) @ dagger(v)
     w = np.where(w > cutoff, np.clip(w, cutoff, None) ** power, 0.0)
-    return (v * w) @ dagger(v)
-
-
-def _support_and_null(m: np.ndarray, cutoff: float = 1e-12) -> np.ndarray:
-    """Projector onto the null space of Hermitian PSD m."""
-    w, v = eigh(m)
-    mask = (w <= cutoff).astype(float)
-    return (v * mask) @ dagger(v)
+    return (v * w[..., None, :]) @ dagger(v), null
 
 
 def helstrom(e: Ensemble) -> DiscriminationResult:
@@ -211,9 +207,9 @@ def _square_root_measurement(e: Ensemble,
     """Elements S^{-1/2} w_i |phi_i><phi_i| S^{-1/2} with
     S = sum_i w_i |phi_i><phi_i|, and the projector onto the null space of S."""
     s = np.einsum("i,ij,ik->jk", weights, e.states, e.states.conj())
-    inv_root = _herm_power(s, -0.5)
+    inv_root, null = _herm_power(s, -0.5)
     elements = [w * (inv_root @ r @ inv_root) for w, r in zip(weights, e.projectors())]
-    return elements, _support_and_null(s)
+    return elements, null
 
 
 def pretty_good_measurement(e: Ensemble) -> Povm:
@@ -231,28 +227,24 @@ def pretty_good_measurement(e: Ensemble) -> Povm:
     try:
         return Povm(tuple(elements))
     except ValueError:
-        return Povm(tuple(_renormalize(elements)))
+        return Povm(tuple(_renormalize(np.array(elements))))
 
 
 def _project_psd(m: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix to Hermitian m (negative eigenvalues clipped to 0)."""
+    """Nearest PSD matrix to Hermitian m, or to each in a stack (negative
+    eigenvalues clipped to 0)."""
     w, v = eigh(m)
-    return (v * np.clip(w, 0.0, None)) @ dagger(v)
+    return (v * np.clip(w, 0.0, None)[..., None, :]) @ dagger(v)
 
 
-def _renormalize(elements: list[np.ndarray]) -> list[np.ndarray]:
-    """Project each element onto the PSD cone, then conjugate by
-    (sum Pi)^{-1/2} so the collection sums to identity again."""
-    elements = [_project_psd((el + dagger(el)) / 2) for el in elements]
-    total = sum(elements)
-    inv_root = _herm_power(total, -0.5)
-    null = _support_and_null(total)
-    n = len(elements)
-    out = []
-    for el in elements:
-        m = inv_root @ el @ inv_root + null / n
-        out.append((m + dagger(m)) / 2)
-    return out
+def _renormalize(elements: np.ndarray) -> np.ndarray:
+    """Project each element of a (..., k, d, d) stack onto the PSD cone, then
+    conjugate by (sum Pi)^{-1/2} so each collection of k sums to identity again."""
+    elements = _project_psd((elements + dagger(elements)) / 2)
+    inv_root, null = _herm_power(elements.sum(axis=-3), -0.5)
+    inv_root = inv_root[..., None, :, :]
+    m = inv_root @ elements @ inv_root + null[..., None, :, :] / elements.shape[-3]
+    return (m + dagger(m)) / 2
 
 
 def _barrier_solve(e: Ensemble, tol: float) -> tuple[Povm, np.ndarray, int]:
@@ -293,7 +285,7 @@ def _barrier_solve(e: Ensemble, tol: float) -> tuple[Povm, np.ndarray, int]:
             break
         t = min(30.0 * t, t_final)
     inv = np.linalg.inv(y - weighted)
-    return Povm(tuple(_renormalize(list(inv / t)))), y, steps
+    return Povm(tuple(_renormalize(inv / t))), y, steps
 
 
 def min_error_solve(e: Ensemble) -> DiscriminationResult:
@@ -310,7 +302,7 @@ def min_error_solve(e: Ensemble) -> DiscriminationResult:
     weights = np.array([p * (s.conj() @ el @ s).real
                         for p, s, el in zip(e.probs**2, e.states, povm.elements)])
     elements, null = _square_root_measurement(e, weights)
-    polished = Povm(tuple(_renormalize([el + null / e.n for el in elements])))
+    polished = Povm(tuple(_renormalize(np.array(elements) + null / e.n)))
     polished_p = success_probability(e, polished)
     if polished_p > p_success:
         povm, p_success = polished, polished_p
@@ -327,11 +319,9 @@ def mutual_information(e: Ensemble, m: Povm) -> float:
     """I(D:M) in bits from the joint p_ij = p_i <phi_i|Pi_j|phi_i>."""
     if m.dim != e.dim:
         raise ValueError(f"dimension mismatch: POVM {m.dim}, ensemble {e.dim}")
-    joint = np.empty((e.n, len(m.elements)))
-    for i in range(e.n):
-        for j, el in enumerate(m.elements):
-            joint[i, j] = e.probs[i] * (e.states[i].conj() @ el @ e.states[i]).real
-    joint = np.clip(joint, 0.0, None)
+    s = e.states
+    amp = s.conj()[:, None, None, :] @ np.array(m.elements)[None] @ s[:, None, :, None]
+    joint = np.clip(e.probs[:, None] * amp[..., 0, 0].real, 0.0, None)
     h_d = shannon_entropy(joint.sum(axis=1))
     h_m = shannon_entropy(joint.sum(axis=0))
     h_dm = shannon_entropy(joint.ravel())
@@ -348,27 +338,28 @@ def _random_rank1_povm(rng, dim: int) -> Povm:
     return Povm(tuple(np.outer(u[:, k], u[:, k].conj()) for k in range(dim)))
 
 
-def _hill_climb(e: Ensemble, m: Povm, rng, steps: int = 40) -> float:
-    """Local ascent of I(D:M) by random perturbations of the element roots."""
-    elements = [np.array(el) for el in m.elements]
-    best = mutual_information(e, m)
-    eps = 0.2
-    d = e.dim
+def _hill_climb(e: Ensemble, starts: list[Povm], rngs: list, steps: int = 40) -> list[float]:
+    """Local ascent of I(D:M) by random perturbations of the element roots.
+
+    Runs every start in lockstep, start r drawing from rngs[r], on a
+    (restarts, k, d, d) stack; returns the best I(D:M) of each start.
+    """
+    elements = np.array([m.elements for m in starts])
+    best = [mutual_information(e, m) for m in starts]
+    eps = [0.2] * len(starts)
+    draw = (elements.shape[1], 2) + elements.shape[2:]  # k x (real, imag) parts
     for _ in range(steps):
-        proposal = []
-        for el in elements:
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            a = _herm_power(el, 0.5) + eps * g
-            proposal.append(dagger(a) @ a)
-        proposal = _renormalize(proposal)
-        cand = Povm(tuple(proposal))
-        val = mutual_information(e, cand)
-        if val > best:
-            best = val
-            elements = proposal
-            eps = min(eps * 1.2, 0.5)
-        else:
-            eps = max(eps * 0.7, 1e-3)
+        z = np.array([rng.standard_normal(draw) for rng in rngs])
+        root, _ = _herm_power(elements, 0.5)
+        a = root + np.array(eps)[:, None, None, None] * (z[:, :, 0] + 1j * z[:, :, 1])
+        proposal = _renormalize(dagger(a) @ a)
+        for r, cand in enumerate(proposal):
+            val = mutual_information(e, Povm(tuple(cand)))
+            if val > best[r]:
+                best[r], elements[r] = val, cand
+                eps[r] = min(eps[r] * 1.2, 0.5)
+            else:
+                eps[r] = max(eps[r] * 0.7, 1e-3)
     return best
 
 
@@ -382,8 +373,8 @@ def accessible_info_lower(e: Ensemble, min_error_povm: Povm, restarts: int = 4,
     """
     best = mutual_information(e, min_error_povm)
     best = max(best, mutual_information(e, pretty_good_measurement(e)))
-    for r in range(restarts):
-        rng = subseed(seed, r)
-        start = _random_rank1_povm(rng, e.dim)
-        best = max(best, _hill_climb(e, start, rng))
+    if restarts:
+        rngs = [subseed(seed, r) for r in range(restarts)]
+        starts = [_random_rank1_povm(rng, e.dim) for rng in rngs]
+        best = max(best, *_hill_climb(e, starts, rngs))
     return best

@@ -1,8 +1,9 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
 Everything operates on plain numpy arrays (complex128). Matrices here are
-tiny (dimension <= ~64), so all routines favour clarity and strict
-validation over speed.
+tiny (dimension <= ~64), so routines favour clarity and strict validation;
+`dagger` and `eigh` also take stacks (..., d, d) and act on each matrix, so
+callers can batch many small decompositions into one call.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ class Dims:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    return m.conj().swapaxes(-1, -2)
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> None:
@@ -114,7 +115,7 @@ def partial_trace(rho: np.ndarray, dims: Dims, keep) -> np.ndarray:
 
 
 def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each in a stack.
 
     Returns (eigenvalues ascending, eigenvector columns). Raises on
     non-Hermitian input.

@@ -7,6 +7,9 @@ from pathcoh.discrimination import (
     Ensemble,
     Povm,
     _barrier_solve,
+    _hill_climb,
+    _random_rank1_povm,
+    _renormalize,
     accessible_info_lower,
     certificate_gap,
     helstrom,
@@ -18,6 +21,7 @@ from pathcoh.discrimination import (
     success_probability,
 )
 from pathcoh.duality import check_l1_memory, detector_ensemble
+from pathcoh.linalg import shannon_entropy
 from pathcoh.sampling import haar_state, sample_scenario, subseed
 
 RNG = np.random.default_rng(11)
@@ -60,6 +64,25 @@ class TestEnsemblePovm:
         with pytest.raises(ValueError):
             Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
         Povm((np.eye(2) / 2, np.eye(2) / 2))
+
+    def test_povm_message_wrong_shape(self):
+        with pytest.raises(ValueError,
+                           match=r"^element 1 has shape \(3, 3\), expected \(2, 2\)$"):
+            Povm((np.eye(2) / 2, np.eye(3) / 2))
+
+    def test_povm_message_names_first_non_psd_element(self):
+        # Elements 1 and 2 are both negative; the first one is named, with
+        # its own (not the worst) eigenvalue.
+        els = (np.diag([1.75, 1.0]), np.diag([-0.25, 0.0]), np.diag([-0.5, 0.0]))
+        with pytest.raises(ValueError,
+                           match=r"^element 1 is not PSD: min eigenvalue -2\.500e-01$"):
+            Povm(els)
+
+    def test_povm_message_not_complete(self):
+        with pytest.raises(ValueError, match=r"^POVM elements do not sum to identity$"):
+            Povm((np.eye(2), np.eye(2)))
+        with pytest.raises(ValueError, match=r"^POVM needs at least one element$"):
+            Povm(())
 
 
 class TestSuccessProbability:
@@ -276,6 +299,50 @@ class TestBarrierFallback:
             assert -1e-12 <= gap <= CERT_THRESHOLD
 
 
+def renormalize_one(elements):
+    """One collection, one matrix at a time: the PSD projection of each
+    element, one eigendecomposition of their sum, then the conjugation."""
+    herm = [(el + el.conj().T) / 2 for el in elements]
+    psd = []
+    for m in herm:
+        w, v = np.linalg.eigh((m + m.conj().T) / 2)
+        psd.append((v * np.clip(w, 0.0, None)) @ v.conj().T)
+    total = sum(psd)
+    w, v = np.linalg.eigh((total + total.conj().T) / 2)
+    null = (v * (w <= 1e-12).astype(float)) @ v.conj().T
+    inv_root = (v * np.where(w > 1e-12, np.clip(w, 1e-12, None) ** -0.5, 0.0)) @ v.conj().T
+    out = []
+    for el in psd:
+        m = inv_root @ el @ inv_root + null / len(psd)
+        out.append((m + m.conj().T) / 2)
+    return out
+
+
+class TestRenormalize:
+    def test_stack_matches_per_matrix_loop(self):
+        for s in range(20):
+            rng = np.random.default_rng(300 + s)
+            k, d = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+            support = d - 1 if s % 2 else d  # odd s: the sum has a null space
+            g = np.zeros((k, d, d), dtype=complex)
+            g[:, :, :support] = (rng.standard_normal((k, d, support))
+                                 + 1j * rng.standard_normal((k, d, support)))
+            els = g.conj().swapaxes(-1, -2) @ g
+            out = _renormalize(els)
+            assert out.shape == (k, d, d)
+            for got, want in zip(out, renormalize_one(els)):
+                assert np.array_equal(got, want)
+
+    def test_stack_of_collections_matches_one_at_a_time(self):
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((4, 3, 3, 3)) + 1j * rng.standard_normal((4, 3, 3, 3))
+        els = g.conj().swapaxes(-1, -2) @ g
+        out = _renormalize(els)
+        for r in range(4):
+            assert np.array_equal(out[r], _renormalize(els[r]))
+            Povm(tuple(out[r]))
+
+
 class TestCertificateGap:
     def test_zero_at_optimum(self):
         e = two_state(0.5, 0.4)
@@ -298,6 +365,25 @@ class TestInformation:
         m = Povm((np.eye(2) / 2, np.eye(2) / 2))
         assert mutual_information(e, m) == pytest.approx(0.0, abs=1e-10)
 
+    def test_matches_per_pair_loop(self):
+        # The joint table is built on a stack; each entry must equal the
+        # per-pair <phi_i|Pi_j|phi_i> bit for bit.
+        for s in range(30):
+            rng = np.random.default_rng(400 + s)
+            n, d = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+            e = random_ensemble(rng, n, d)
+            u = np.linalg.qr(rng.standard_normal((d, d))
+                             + 1j * rng.standard_normal((d, d)))[0]
+            m = Povm(tuple(np.outer(u[:, k], u[:, k].conj()) for k in range(d)))
+            joint = np.empty((n, d))
+            for i in range(n):
+                for j, el in enumerate(m.elements):
+                    joint[i, j] = e.probs[i] * (e.states[i].conj() @ el @ e.states[i]).real
+            joint = np.clip(joint, 0.0, None)
+            want = (shannon_entropy(joint.sum(axis=1)) + shannon_entropy(joint.sum(axis=0))
+                    - shannon_entropy(joint.ravel()))
+            assert mutual_information(e, m) == want
+
     def test_holevo_values(self):
         e = Ensemble(np.full(2, 0.5), np.eye(2, dtype=complex))
         assert holevo(e) == pytest.approx(1.0, abs=1e-10)
@@ -315,7 +401,56 @@ class TestInformation:
             assert mutual_information(e, m) <= holevo(e) + 1e-9
 
 
+# For the detector ensemble e of sample_scenario(subseed(2024, k), N, d_B,
+# d_D), k the index in this list: float.hex of
+# accessible_info_lower(e, min_error_solve(e).povm, restarts=2, seed=101),
+# then of the best I(D:M) of each of its two ascents. The min-error POVM sets
+# most of the first values, so the second pin the ascent itself. The
+# arithmetic and the random draws must reproduce them bit for bit.
+ACCESSIBLE_HEX = [
+    ((2, 1, None), '0x1.37a3addfa5460p-3',
+     ('0x1.2cfde405f3518p-3', '0x1.1eaca07583920p-3')),
+    ((2, 2, None), '0x1.029bbb92e8c80p-2',
+     ('0x1.54f6af34d9328p-3', '0x1.c0ce9b4f16700p-5')),
+    ((3, 1, None), '0x1.96cf48f7e747cp-1',
+     ('0x1.beba6c58d0a08p-2', '0x1.9a936058d77a0p-2')),
+    ((3, 2, None), '0x1.61a3225dd8aacp-1',
+     ('0x1.7c11254541268p-2', '0x1.5faf71abac0f0p-2')),
+    ((4, 1, None), '0x1.24dff3eaafd84p+0',
+     ('0x1.5a26465a5f838p-1', '0x1.ccc9040375a30p-2')),
+    ((4, 2, None), '0x1.17e5ab29bcbb8p+0',
+     ('0x1.4c320ef3a36a0p-2', '0x1.cb646746720e0p-2')),
+    ((5, 1, None), '0x1.cfeae67e20a70p-1',
+     ('0x1.55dd453e61098p-2', '0x1.d1a41f1b475a0p-3')),
+    ((5, 2, None), '0x1.397697842f84cp+0',
+     ('0x1.c53ee34244060p-2', '0x1.c8ef797e1f240p-3')),
+    ((3, 1, 2), '0x1.37c0ea3c238b8p-1',
+     ('0x1.2dce8854cd9b4p-1', '0x1.be629281f0358p-2')),
+    ((4, 2, 2), '0x1.e5646801b8030p-3',
+     ('0x1.710af2f206ca0p-3', '0x1.369f0e2a2daf0p-3')),
+    ((5, 1, 2), '0x1.75abe7b8e74c8p-2',
+     ('0x1.5d26f07dff7e8p-2', '0x1.75abe7b8e74c8p-2')),
+    ((5, 2, 2), '0x1.5c5bf7000c3a8p-1',
+     ('0x1.c124118ef88e0p-2', '0x1.5072978d8d498p-2')),
+]
+
+
 class TestAccessibleInfoLower:
+    @pytest.mark.parametrize("k", range(len(ACCESSIBLE_HEX)))
+    def test_bit_exact(self, k):
+        (n, d_b, d_d), expected, _ = ACCESSIBLE_HEX[k]
+        e = detector_ensemble(sample_scenario(subseed(2024, k), n, d_b, d_d))
+        value = accessible_info_lower(e, min_error_solve(e).povm, restarts=2, seed=101)
+        assert float.hex(value) == expected
+
+    @pytest.mark.parametrize("k", range(len(ACCESSIBLE_HEX)))
+    def test_ascent_bit_exact(self, k):
+        (n, d_b, d_d), _, expected = ACCESSIBLE_HEX[k]
+        e = detector_ensemble(sample_scenario(subseed(2024, k), n, d_b, d_d))
+        rngs = [subseed(101, r) for r in range(2)]
+        starts = [_random_rank1_povm(rng, e.dim) for rng in rngs]
+        assert tuple(float.hex(v) for v in _hill_climb(e, starts, rngs)) == expected
+
     def test_orthonormal(self):
         e = Ensemble(np.full(2, 0.5), np.eye(2, dtype=complex))
         m = min_error_solve(e).povm

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pathcoh import discrimination, duality, harness
+from pathcoh import cli, discrimination, duality, harness
 from pathcoh.cli import main
 from pathcoh.discrimination import Ensemble
 from pathcoh.duality import Relation, TwoParticleScenario
@@ -369,6 +369,27 @@ class TestCli:
         p = write_doc(tmp_path, doc)
         res = self.run("check", str(p), "--relation", "TWO_PATH_EQUALITY")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("exc", [AssertionError("Holevo intermediate bound violated"),
+                                     np.linalg.LinAlgError("Eigenvalues did not converge")])
+    def test_check_internal_error_exits_4(self, tmp_path, monkeypatch, exc):
+        def failing(rel, obj):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_relation", failing)
+        res = self.run("check", str(write_doc(tmp_path, SCENARIO_DOC)))
+        assert res.exit_code == 4
+        assert f"internal error: L1_MEMORY: {type(exc).__name__}: {exc}" in res.output
+        assert "Traceback" not in res.output
+
+    def test_check_value_error_stays_input_error(self, tmp_path, monkeypatch):
+        def failing(rel, obj):
+            raise ValueError("memoryless relation needs d_B = 1, got 2")
+
+        monkeypatch.setattr(cli, "run_relation", failing)
+        res = self.run("check", str(write_doc(tmp_path, SCENARIO_DOC)))
+        assert res.exit_code == 2
+        assert "internal error" not in res.output
 
     def test_sweep_csv_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

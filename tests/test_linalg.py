@@ -4,6 +4,7 @@ import pytest
 from pathcoh.linalg import (
     Dims,
     check_density_matrix,
+    dagger,
     eigh,
     kron,
     partial_trace,
@@ -54,6 +55,24 @@ def partial_trace_oracle_keep_first(rho, da, db):
             for k in range(db):
                 out[i, j] += rho[i * db + k, j * db + k]
     return out
+
+
+class TestDagger:
+    def test_stack_is_per_matrix_conjugate_transpose(self):
+        rng = np.random.default_rng(8)
+        m = rng.standard_normal((2, 3, 4, 5)) + 1j * rng.standard_normal((2, 3, 4, 5))
+        out = dagger(m)
+        assert out.shape == (2, 3, 5, 4)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], m[idx].conj().T)
+
+    def test_eigh_of_stack(self):
+        rng = np.random.default_rng(9)
+        h = np.array([random_hermitian(rng, 3) for _ in range(4)])
+        w, v = eigh(h)
+        for i in range(4):
+            w1, v1 = eigh(h[i])
+            assert np.array_equal(w[i], w1) and np.array_equal(v[i], v1)
 
 
 class TestKron:
