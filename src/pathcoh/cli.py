@@ -14,6 +14,7 @@ import numpy as np
 from .discrimination import Ensemble, min_error_solve, pairwise_bound
 from .duality import Evaluation, Relation, TwoParticleScenario
 from .harness import (
+    InternalError,
     ScenarioParseError,
     SweepConfig,
     _fmt,
@@ -128,7 +129,11 @@ def sweep(seed, count, n_list, db_list, dd, relations, jobs, out_path, fmt):
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 
-    rows = run_sweep(config, jobs=jobs)
+    try:
+        rows = run_sweep(config, jobs=jobs)
+    except InternalError as exc:
+        click.echo(f"internal error: {exc}", err=True)
+        sys.exit(4)
     if out_path is None:
         out_path = default_out_dir() / f"sweep-{seed}.{fmt}"
     emit(rows, fmt, out_path)

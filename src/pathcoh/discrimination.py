@@ -53,8 +53,9 @@ class Ensemble:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    def projectors(self) -> list[np.ndarray]:
-        return [np.outer(s, s.conj()) for s in self.states]
+    def projectors(self) -> np.ndarray:
+        """The (n, d, d) stack of |phi_i><phi_i| (each bitwise np.outer)."""
+        return self.states[:, :, None] * self.states.conj()[:, None, :]
 
     def average_state(self) -> np.ndarray:
         return np.einsum("i,ij,ik->jk", self.probs, self.states, self.states.conj())
@@ -120,7 +121,7 @@ def success_probability(e: Ensemble, m: Povm) -> float:
         for i in range(e.n)))
 
 
-def _dual_residual(e: Ensemble, rhos: list[np.ndarray], y: np.ndarray) -> float:
+def _dual_residual(e: Ensemble, rhos: np.ndarray, y: np.ndarray) -> float:
     """Largest negative-eigenvalue magnitude of Y - p_i rho_i over all i,
     with rhos = e.projectors().
 
@@ -128,11 +129,8 @@ def _dual_residual(e: Ensemble, rhos: list[np.ndarray], y: np.ndarray) -> float:
     probability by Tr Y; a residual g makes Y + g*I such an operator, so the
     optimum is at most Tr Y + d*g.
     """
-    gap = 0.0
-    for i, rho in enumerate(rhos):
-        lo = float(np.linalg.eigvalsh(y - e.probs[i] * rho).min())
-        gap = max(gap, -lo)
-    return max(gap, 0.0)
+    low = np.linalg.eigvalsh(y - e.probs[:, None, None] * rhos).min()
+    return max(0.0, -float(low))
 
 
 def certificate_gap(e: Ensemble, m: Povm) -> float:
@@ -288,16 +286,60 @@ def _barrier_solve(e: Ensemble, tol: float) -> tuple[Povm, np.ndarray, int]:
     return Povm(tuple(_renormalize(inv / t))), y, steps
 
 
-def min_error_solve(e: Ensemble) -> DiscriminationResult:
-    """Optimal POVM from `_barrier_solve`, polished by one square-root step.
+def _barrier_solve_stack(ensembles: list[Ensemble],
+                         tol: float) -> list[tuple[Povm, np.ndarray, int]]:
+    """`_barrier_solve` of each ensemble of a list of one shape, in lockstep.
 
-    The barrier's measurement lies about SOLVER_TOL below the optimum. One
-    weighted square-root-measurement step from it, with weights
-    c_i = p_i^2 <phi_i|Pi_i|phi_i>, usually closes that distance; it is kept
-    only when its P_s is higher. The certificate gap is
-    Tr Y + d*g(Y) - P_s for the barrier's dual operator Y.
+    Each Newton step is one stacked call per operation over the ensembles
+    still running. Every ensemble keeps its own t, its own count of steps in
+    the current stage and its own step total, and leaves the stack when its
+    last stage is centred, so each result is bitwise that of `_barrier_solve`.
     """
-    povm, y, steps = _barrier_solve(e, SOLVER_TOL)
+    n, d = ensembles[0].n, ensembles[0].dim
+    k = len(ensembles)
+    weighted_all = np.array([np.einsum("i,ij,ik->ijk", e.probs, e.states, e.states.conj())
+                             for e in ensembles])
+    eye = np.eye(d)
+    y = np.array([2.0 * float(e.probs.max()) * eye for e in ensembles], dtype=complex)
+    t_final = n * d / max(tol, 1e-12)
+    y_out, t_out, steps_out = np.empty_like(y), np.empty(k), np.empty(k, dtype=int)
+    # State of the ensembles still running, which `live` indexes.
+    live, weighted = np.arange(k), weighted_all
+    t, stage, steps = np.ones(k), np.zeros(k, dtype=int), np.zeros(k, dtype=int)
+    while live.size:
+        inv = np.linalg.inv(y[:, None] - weighted)
+        grad = t[:, None, None] * eye - inv.sum(axis=1)
+        hess = np.einsum("kiab,kidc->kacbd", inv, inv).reshape(-1, d * d, d * d)
+        step = np.linalg.solve(hess, -grad.reshape(-1, d * d, 1)).reshape(-1, d, d)
+        step = (step + dagger(step)) / 2
+        # Bitwise np.vdot per ensemble; einsum or sum orders differ.
+        decrement = -(grad.conj().reshape(-1, 1, d * d)
+                      @ step.reshape(-1, d * d, 1)).real[:, 0, 0]
+        centered = decrement <= 2e-9
+        move = ~centered
+        lam = np.sqrt(decrement[move])
+        # Division by exactly 1.0 leaves an undamped step bitwise unchanged.
+        y[move] = y[move] + step[move] / np.where(lam < 0.25, 1.0, 1.0 + lam)[:, None, None]
+        steps[move] += 1
+        stage[move] += 1
+        stage_end = centered | (stage == 50)
+        done = stage_end & (t >= t_final)
+        advance = stage_end & ~done
+        t[advance] = np.minimum(30.0 * t[advance], t_final)
+        stage[stage_end] = 0
+        if done.any():
+            ids = live[done]
+            y_out[ids], t_out[ids], steps_out[ids] = y[done], t[done], steps[done]
+            keep = ~done
+            live, weighted, y, t, stage, steps = (
+                a[keep] for a in (live, weighted, y, t, stage, steps))
+    inv = np.linalg.inv(y_out[:, None] - weighted_all)
+    elements = _renormalize(inv / t_out[:, None, None, None])
+    return [(Povm(tuple(els)), y_out[j], int(steps_out[j])) for j, els in enumerate(elements)]
+
+
+def _certified(e: Ensemble, povm: Povm, y: np.ndarray, steps: int) -> DiscriminationResult:
+    """The barrier's POVM polished by one square-root step, with its gap."""
     p_success = success_probability(e, povm)
     weights = np.array([p * (s.conj() @ el @ s).real
                         for p, s, el in zip(e.probs**2, e.states, povm.elements)])
@@ -313,6 +355,32 @@ def min_error_solve(e: Ensemble) -> DiscriminationResult:
         certificate_gap=upper - p_success,
         iterations=steps,
     )
+
+
+def min_error_solve(e: Ensemble) -> DiscriminationResult:
+    """Optimal POVM from `_barrier_solve`, polished by one square-root step.
+
+    The barrier's measurement lies about SOLVER_TOL below the optimum. One
+    weighted square-root-measurement step from it, with weights
+    c_i = p_i^2 <phi_i|Pi_i|phi_i>, usually closes that distance; it is kept
+    only when its P_s is higher. The certificate gap is
+    Tr Y + d*g(Y) - P_s for the barrier's dual operator Y.
+    """
+    return _certified(e, *_barrier_solve(e, SOLVER_TOL))
+
+
+def min_error_solve_block(ensembles: list[Ensemble]) -> list[DiscriminationResult]:
+    """`min_error_solve` of each ensemble of a list of one shape (n, d).
+
+    Two or more run the barrier in lockstep (`_barrier_solve_stack`), which
+    amortizes numpy's per-call cost; the results are bitwise those of
+    one-at-a-time solves. A lone ensemble takes `_barrier_solve`, which is
+    faster on a stack of one.
+    """
+    if len(ensembles) == 1:
+        return [min_error_solve(ensembles[0])]
+    return [_certified(e, *r)
+            for e, r in zip(ensembles, _barrier_solve_stack(ensembles, SOLVER_TOL))]
 
 
 def mutual_information(e: Ensemble, m: Povm) -> float:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discrimination import Ensemble
+from .discrimination import Ensemble, min_error_solve_block
 from .duality import (
     DualityReport,
     Evaluation,
@@ -224,32 +224,72 @@ def run_relation(relation: Relation, spec, *, restarts: int = 2,
     raise ValueError(f"relation {relation} is not sweepable")
 
 
-def _eval_task(config: SweepConfig, cell_idx: int, scen_idx: int) -> list[SweepRow]:
+# A sweep evaluates each cell's scenarios in blocks of at most this many; a
+# block's min-error problems are solved in lockstep, and a block is the unit
+# of work of the worker pool.
+BLOCK_SIZE = 64
+
+# Relations that do not read the scenario's shared min-error solve.
+_NO_SHARED_SOLVE = (Relation.TWO_PATH_EQUALITY, Relation.TWO_PARTICLE_SUM)
+
+
+class InternalError(RuntimeError):
+    """A failed internal invariant or numerical failure on a sweep scenario;
+    the message names the scenario and the relation."""
+
+
+def _eval_task(config: SweepConfig, cell_idx: int, scen_idx: int | range) -> list[SweepRow]:
+    """Rows of one scenario, or of a block of one cell's scenarios (a range of
+    indices), in scenario order.
+
+    A block's min-error problems are solved together (`min_error_solve_block`)
+    before any relation runs; the solve's time is split evenly over the
+    block's scenarios and added to each scenario's first row.
+    """
     n, d_b = config.cells()[cell_idx]
     relations = applicable_relations(config.relations or DEFAULT_RELATIONS, n, d_b)
-    scenario_id = f"s{config.seed}-c{cell_idx}-i{scen_idx}"
-    rows = []
+    indices = [scen_idx] if isinstance(scen_idx, int) else list(scen_idx)
 
-    ev = tp = None
+    evs = tps = [None] * len(indices)
     if any(r is not Relation.TWO_PARTICLE_SUM for r in relations):
-        ev = Evaluation(sample_scenario(subseed(config.seed, cell_idx, scen_idx),
-                                        n, d_b, config.d_d))
+        evs = [Evaluation(sample_scenario(subseed(config.seed, cell_idx, i),
+                                          n, d_b, config.d_d)) for i in indices]
     if Relation.TWO_PARTICLE_SUM in relations:
-        tp = sample_two_particle(subseed(config.seed, cell_idx, scen_idx, 1),
-                                 n, config.d_d)
+        tps = [sample_two_particle(subseed(config.seed, cell_idx, i, 1), n, config.d_d)
+               for i in indices]
 
-    for rel in relations:
-        target = tp if rel is Relation.TWO_PARTICLE_SUM else ev
+    solve_ms = 0.0
+    if any(r not in _NO_SHARED_SOLVE for r in relations):
         t0 = time.perf_counter()
-        rep = run_relation(rel, target, restarts=config.restarts, seed=config.seed)
-        ms = (time.perf_counter() - t0) * 1e3
-        tol = config.tol_overrides.get(rel)
-        ok = rep.satisfied if tol is None else (
-            abs(rep.slack) <= tol if rep.equality else rep.slack >= -tol)
-        rows.append(SweepRow(
-            scenario_id=scenario_id, relation=rel.value, n=n, d_b=d_b,
-            lhs=rep.lhs, rhs=rep.rhs, slack=rep.slack, satisfied=ok,
-            certified=rep.solver_certified, wall_time_ms=ms))
+        try:
+            for ev, res in zip(evs, min_error_solve_block([ev.ensemble for ev in evs])):
+                ev.solution = res
+        except (AssertionError, ValueError):
+            pass  # each scenario then solves alone, and its failure names it
+        solve_ms = (time.perf_counter() - t0) * 1e3 / len(evs)
+
+    rows = []
+    for i, ev, tp in zip(indices, evs, tps):
+        scenario_id = f"s{config.seed}-c{cell_idx}-i{i}"
+        extra_ms = solve_ms
+        for rel in relations:
+            target = tp if rel is Relation.TWO_PARTICLE_SUM else ev
+            t0 = time.perf_counter()
+            try:
+                rep = run_relation(rel, target, restarts=config.restarts, seed=config.seed)
+            except (AssertionError, ValueError) as exc:
+                # The sweep made this scenario itself, so no input is at fault.
+                raise InternalError(f"{scenario_id}: {rel.value}: "
+                                    f"{type(exc).__name__}: {exc}") from exc
+            ms = (time.perf_counter() - t0) * 1e3 + extra_ms
+            extra_ms = 0.0
+            tol = config.tol_overrides.get(rel)
+            ok = rep.satisfied if tol is None else (
+                abs(rep.slack) <= tol if rep.equality else rep.slack >= -tol)
+            rows.append(SweepRow(
+                scenario_id=scenario_id, relation=rel.value, n=n, d_b=d_b,
+                lhs=rep.lhs, rhs=rep.rhs, slack=rep.slack, satisfied=ok,
+                certified=rep.solver_certified, wall_time_ms=ms))
     return rows
 
 
@@ -258,13 +298,16 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> list[SweepRow]:
 
     Row order is deterministic and independent of `jobs`; each scenario is
     generated from a substream keyed by (seed, cell index, scenario index).
-    At most one worker process per CPU and per scenario is started.
+    Each cell's scenarios run in blocks of at most BLOCK_SIZE, and at most one
+    worker process per CPU and per block is started. Raises InternalError
+    when a relation fails on a scenario.
     """
-    tasks = [(ci, si) for ci in range(len(config.cells()))
-             for si in range(config.count)]
+    tasks = [(ci, range(lo, min(lo + BLOCK_SIZE, config.count)))
+             for ci in range(len(config.cells()))
+             for lo in range(0, config.count, BLOCK_SIZE)]
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
-        chunks = [_eval_task(config, ci, si) for ci, si in tasks]
+        chunks = [_eval_task(config, ci, block) for ci, block in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_eval_task, [config] * len(tasks),

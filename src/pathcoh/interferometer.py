@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    Dims,
-    check_density_matrix,
-    clip_spectrum,
-    eigh,
-    partial_trace,
-)
+from .linalg import check_density_matrix, clip_spectrum, eigh
 
 NORM_TOL = 1e-9
 
@@ -130,14 +124,29 @@ def scenario_reduced(spec: ScenarioSpec) -> ReducedSet:
     """Reduced density matrices of the post-interaction state.
 
     The detector coupling maps |psi>_AB = sum_ij a_ij |i>_A |j>_B to
-    |Psi>_ABD = sum_ij a_ij |i>_A |j>_B |phi_i>_D, which is then partially traced.
+    |Psi>_ABD = sum_ij a_ij |i>_A |j>_B |phi_i>_D. Only the entries of
+    |Psi><Psi| that a partial trace reads are formed: the products
+    psi[i,b,d] conj(psi[j,c,d]) for rho_AB and rho_A, and the i = j, b = c
+    blocks for rho_D. Each sum runs in the order `partial_trace` of the full
+    matrix uses, so the results are bitwise equal to it.
     """
-    dims = Dims.of(("A", spec.n), ("B", spec.d_b), ("D", spec.d_d))
-    psi = np.einsum("ij,ik->ijk", spec.amplitudes, spec.detector_states).ravel()
-    rho = np.outer(psi, psi.conj())
-    rho_ab = partial_trace(rho, dims, {"A", "B"})
-    rho_a = partial_trace(rho, dims, {"A"})
-    rho_d = partial_trace(rho, dims, {"D"})
+    n, d_b, d_d = spec.n, spec.d_b, spec.d_d
+    psi = np.einsum("ij,ik->ijk", spec.amplitudes, spec.detector_states)
+    prod = psi[:, :, None, None, :] * psi.conj()[None, None, :, :, :]
+    rho_ab = prod[..., 0]
+    for k in range(1, d_d):  # sequential: ndarray.sum would add pairwise
+        rho_ab = rho_ab + prod[..., k]
+    rho_a = np.trace(rho_ab, axis1=1, axis2=3)
+    rho_ab = rho_ab.reshape(n * d_b, n * d_b)
+    blocks = psi[:, :, :, None] * psi.conj()[:, :, None, :]
+    per_path = blocks[:, 0]
+    for b in range(1, d_b):
+        per_path = per_path + blocks[:, b]
+    # The sum over paths is np.trace on the layout partial_trace leaves,
+    # whose order (pairwise for some shapes) a loop would not match.
+    rho_ad = np.zeros((n, d_d, n, d_d), dtype=complex)
+    rho_ad[np.arange(n), :, np.arange(n), :] = per_path
+    rho_d = np.trace(rho_ad, axis1=0, axis2=2)
     for m in (rho_ab, rho_a, rho_d):
         check_density_matrix(m)
     return ReducedSet(

@@ -7,6 +7,8 @@ from pathcoh.discrimination import (
     Ensemble,
     Povm,
     _barrier_solve,
+    _barrier_solve_stack,
+    _dual_residual,
     _hill_climb,
     _random_rank1_povm,
     _renormalize,
@@ -15,6 +17,7 @@ from pathcoh.discrimination import (
     helstrom,
     holevo,
     min_error_solve,
+    min_error_solve_block,
     mutual_information,
     pairwise_bound,
     pretty_good_measurement,
@@ -297,6 +300,84 @@ class TestBarrierFallback:
                 assert np.linalg.eigvalsh(y - p * rho).min() >= 0.0
             gap = np.trace(y).real - success_probability(e, povm)
             assert -1e-12 <= gap <= CERT_THRESHOLD
+
+
+def assert_same_barrier(got, want):
+    (povm, y, steps), (povm1, y1, steps1) = got, want
+    assert steps == steps1
+    assert y.tobytes() == y1.astype(complex).tobytes()
+    assert [el.tobytes() for el in povm.elements] == [el.tobytes() for el in povm1.elements]
+
+
+def assert_stack_matches_singles(ensembles):
+    """Lockstep solve bitwise equal to one `_barrier_solve` per ensemble, and
+    `min_error_solve_block` to one `min_error_solve` each; returns the steps."""
+    stacked = _barrier_solve_stack(ensembles, 1e-10)
+    for e, got in zip(ensembles, stacked):
+        assert_same_barrier(got, _barrier_solve(e, 1e-10))
+    for e, res in zip(ensembles, min_error_solve_block(ensembles)):
+        one = min_error_solve(e)
+        assert (res.p_success, res.certificate_gap, res.iterations) == \
+               (one.p_success, one.certificate_gap, one.iterations)
+        assert [el.tobytes() for el in res.povm.elements] == \
+               [el.tobytes() for el in one.povm.elements]
+    return [steps for _, _, steps in stacked]
+
+
+class TestLockstepBarrier:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_stack_matches_one_at_a_time(self, n):
+        for d in range(1, n + 1):
+            rng = np.random.default_rng(40 * n + d)
+            assert_stack_matches_singles([random_ensemble(rng, n, d) for _ in range(3)])
+
+    def test_members_stop_after_different_step_counts(self):
+        rng = np.random.default_rng(5)
+        ensembles = [random_ensemble(rng, 4, 4) for _ in range(4)]
+        ensembles += [detector_ensemble(sample_scenario(subseed(101, 8, 405), 4, 1))]
+        steps = assert_stack_matches_singles(ensembles)
+        assert len(set(steps)) >= 3
+
+    def test_first_stage_runs_into_its_step_cap(self):
+        # Sixteen states in d = 4 take all 50 Newton steps of the first stage
+        # without centring; the stack must cut each member's stage there too.
+        rng = np.random.default_rng(1604)
+        assert_stack_matches_singles([
+            Ensemble(p, np.array([haar_state(rng, 4) for _ in range(16)]))
+            for p in (np.full(16, 1 / 16), rng.dirichlet(np.ones(16)), np.full(16, 1 / 16))])
+
+    def test_pinned_stalled_scenario(self):
+        pinned = detector_ensemble(sample_scenario(subseed(101, 8, 405), 4, 1))
+        others = [detector_ensemble(sample_scenario(subseed(101, 8, i), 4, 1))
+                  for i in range(403, 405)]
+        assert_stack_matches_singles([pinned, *others])
+
+    def test_tiny_path_probability(self):
+        p = np.array([0.97 - 1e-9, 1e-9, 0.03])
+        rng = np.random.default_rng(0)
+        assert_stack_matches_singles(
+            [Ensemble(p, np.array([haar_state(rng, 3) for _ in range(3)])) for _ in range(4)])
+
+    def test_stack_of_one_is_the_single_loop(self):
+        rng = np.random.default_rng(8)
+        for n, d in ((2, 2), (3, 2), (5, 5)):
+            e = random_ensemble(rng, n, d)
+            assert_same_barrier(_barrier_solve_stack([e], 1e-10)[0], _barrier_solve(e, 1e-10))
+
+
+class TestDualResidual:
+    def test_matches_per_matrix_loop(self):
+        for s in range(40):
+            rng = np.random.default_rng(600 + s)
+            n, d = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+            e = random_ensemble(rng, n, d)
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            y = (g + g.conj().T) / 4 + (s % 3) * np.eye(d)
+            gap = 0.0
+            for p, state in zip(e.probs, e.states):
+                lo = float(np.linalg.eigvalsh(y - p * np.outer(state, state.conj())).min())
+                gap = max(gap, -lo)
+            assert _dual_residual(e, e.projectors(), y) == max(gap, 0.0)
 
 
 def renormalize_one(elements):

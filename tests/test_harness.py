@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from pathcoh.cli import main
 from pathcoh.discrimination import Ensemble
 from pathcoh.duality import Relation, TwoParticleScenario
 from pathcoh.harness import (
+    BLOCK_SIZE,
     CSV_HEADER,
     DEFAULT_RELATIONS,
     ScenarioParseError,
@@ -198,21 +201,13 @@ class TestRunSweep:
             assert a.lhs == b.lhs and a.rhs == b.rhs and a.slack == b.slack
             assert a.satisfied == b.satisfied and a.certified == b.certified
 
-    @pytest.mark.parametrize("jobs, cpus, count, workers", [
-        (64, 2, 2, 2),       # clamped to the CPU count
-        (64, 8, 3, 3),       # clamped to the number of scenarios
-        (3, 8, 4, 3),
-        (2, 1, 2, None),     # one CPU: serial
-        (8, None, 2, None),  # unknown CPU count counts as one
-        (4, 8, 1, None),     # one scenario: serial
-        (0, 2, 2, None),
-    ])
-    def test_worker_count_is_clamped(self, monkeypatch, jobs, cpus, count, workers):
+    @staticmethod
+    def _pool_sizes(monkeypatch, cfg, jobs, cpus):
+        """Pool sizes a sweep asks for, with the process pool replaced by a
+        recorder that maps in-process; checks rows against a serial sweep."""
         pools = []
 
         class RecordingPool:
-            """Stands in for the process pool: records its size, maps in-process."""
-
             def __init__(self, max_workers):
                 pools.append(max_workers)
 
@@ -225,15 +220,37 @@ class TestRunSweep:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        cfg = SweepConfig(seed=11, count=count, n_values=(2,), d_b_values=(1,),
-                          relations=(Relation.TWO_PATH_EQUALITY,))
         serial = run_sweep(cfg, jobs=1)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         rows = run_sweep(cfg, jobs=jobs)
-        assert pools == ([] if workers is None else [workers])
         assert [(r.scenario_id, r.lhs, r.slack) for r in rows] == \
                [(r.scenario_id, r.lhs, r.slack) for r in serial]
+        return pools
+
+    # `count` scenarios, one per cell, so each is a block: the pool's unit of work.
+    @pytest.mark.parametrize("jobs, cpus, count, workers", [
+        (64, 2, 2, 2),       # clamped to the CPU count
+        (64, 8, 3, 3),       # clamped to the number of blocks
+        (3, 8, 4, 3),
+        (2, 1, 2, None),     # one CPU: serial
+        (8, None, 2, None),  # unknown CPU count counts as one
+        (4, 8, 1, None),     # one block: serial
+        (0, 2, 2, None),
+    ])
+    def test_worker_count_is_clamped(self, monkeypatch, jobs, cpus, count, workers):
+        cfg = SweepConfig(seed=11, count=1, n_values=(2,),
+                          d_b_values=tuple(range(1, count + 1)),
+                          relations=(Relation.TWO_PATH_EQUALITY,))
+        pools = self._pool_sizes(monkeypatch, cfg, jobs, cpus)
+        assert pools == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("count, workers", [(BLOCK_SIZE, None), (BLOCK_SIZE + 1, 2)])
+    def test_one_cell_runs_in_blocks(self, monkeypatch, count, workers):
+        cfg = SweepConfig(seed=11, count=count, n_values=(2,), d_b_values=(1,),
+                          relations=(Relation.TWO_PATH_EQUALITY,))
+        pools = self._pool_sizes(monkeypatch, cfg, 8, 8)
+        assert pools == ([] if workers is None else [workers])
 
     def test_tol_override(self):
         cfg = SweepConfig(seed=5, count=2, n_values=(2,), d_b_values=(2,),
@@ -279,6 +296,80 @@ class TestSharedEvaluation:
                                seed=cfg.seed)
             assert (row.lhs, row.rhs, row.slack, row.satisfied, row.certified) == \
                    (rep.lhs, rep.rhs, rep.slack, rep.satisfied, rep.solver_certified)
+
+
+class TestBlockSweep:
+    def test_block_matches_fresh_solves(self):
+        # One cell of BLOCK_SIZE + 1 scenarios: a full lockstep block, then a
+        # block of one.
+        cfg = SweepConfig(seed=31, count=BLOCK_SIZE + 1, n_values=(3,), d_b_values=(1,),
+                          relations=(Relation.L1_MEMORY,))
+        rows = run_sweep(cfg)
+        assert len(rows) == BLOCK_SIZE + 1
+        for index, row in enumerate(rows):
+            assert row.scenario_id == f"s31-c0-i{index}"
+            rep = run_relation(Relation.L1_MEMORY, sample_scenario(subseed(31, 0, index), 3, 1))
+            assert (row.lhs, row.rhs, row.slack, row.satisfied, row.certified) == \
+                   (rep.lhs, rep.rhs, rep.slack, rep.satisfied, rep.solver_certified)
+
+    def test_block_solve_time_lands_on_first_rows(self, monkeypatch):
+        solve = harness.min_error_solve_block
+
+        def slow(ensembles):
+            time.sleep(0.04)
+            return solve(ensembles)
+
+        monkeypatch.setattr(harness, "min_error_solve_block", slow)
+        cfg = SweepConfig(seed=3, count=4, n_values=(2,), d_b_values=(1,),
+                          relations=(Relation.L1_MEMORY, Relation.L1_NO_MEMORY))
+        rows = run_sweep(cfg)
+        first, second = rows[0::2], rows[1::2]
+        assert all(r.wall_time_ms >= 40.0 / 4 for r in first)
+        assert sum(r.wall_time_ms for r in second) < 40.0
+
+    def test_failed_block_solve_falls_back_to_single_solves(self, monkeypatch):
+        def values(rows):
+            return [(r.scenario_id, r.relation, r.lhs, r.rhs, r.certified) for r in rows]
+
+        cfg = SweepConfig(seed=3, count=3, n_values=(3,), d_b_values=(1, 2))
+        expected = values(run_sweep(cfg))
+
+        def failing(ensembles):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(harness, "min_error_solve_block", failing)
+        assert values(run_sweep(cfg)) == expected
+
+
+# SHA-256 of reference sweep CSVs; rows must not move unless a change says so.
+REFERENCE_CSVS = [
+    (["--seed", "101", "--count", "8", "--n", "2,3,4,5", "--db", "1,2"],
+     "e6193dcf843eb9bc453a012b64cc54bfc935126772b8d72157c3a9d7274b41df"),
+    (["--seed", "7", "--count", "4", "--n", "2,3,4,5", "--db", "3,4"],
+     "97e2c170c63cb79109511609824401f7964107fb89165c2522c6d375ddb9bf71"),
+    (["--seed", "5", "--count", "3", "--n", "3,4", "--db", "1,2", "--dd", "2"],
+     "2bf96599750108833bffcb3a444f9f9d9a2efeeff11f065ac6ee559b42578f93"),
+    (["--seed", "101", "--count", "41", "--n", "2,3,4,5", "--db", "1,2,3,4",
+      "--relation", "L1_MEMORY"],
+     "44bddb0612cc23fe7c0fe9f4ca70682f078ae689aa840e9fdb674bdee5b1765d"),
+]
+
+
+class TestReferenceCsv:
+    def sweep_sha256(self, tmp_path, args):
+        out = tmp_path / "sweep.csv"
+        res = CliRunner().invoke(main, ["sweep", *args, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("args, digest", REFERENCE_CSVS,
+                             ids=["default", "large-memory", "low-rank", "l1-main"])
+    def test_bytes_pinned(self, tmp_path, args, digest):
+        assert self.sweep_sha256(tmp_path, args) == digest
+
+    def test_two_jobs_same_bytes(self, tmp_path):
+        args, digest = REFERENCE_CSVS[3]
+        assert self.sweep_sha256(tmp_path, [*args, "--jobs", "2"]) == digest
 
 
 class TestEmit:
@@ -399,6 +490,41 @@ class TestCli:
         r2 = self.run(*args, "--out", str(p2))
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("exc", [AssertionError("Holevo intermediate bound violated"),
+                                     np.linalg.LinAlgError("Eigenvalues did not converge")])
+    def test_sweep_internal_error_exits_4(self, tmp_path, monkeypatch, exc):
+        relation = harness.run_relation
+
+        def failing(rel, target, **kwargs):
+            if rel is Relation.MIXED_STATE and target.spec.n == 3:
+                raise exc
+            return relation(rel, target, **kwargs)
+
+        monkeypatch.setattr(harness, "run_relation", failing)
+        res = self.run("sweep", "--seed", "9", "--count", "2", "--n", "2,3", "--db", "1",
+                       "--out", str(tmp_path / "x.csv"))
+        assert res.exit_code == 4
+        assert res.output == \
+            f"internal error: s9-c1-i0: MIXED_STATE: {type(exc).__name__}: {exc}\n"
+
+    def test_sweep_failed_solve_names_its_scenario(self, tmp_path, monkeypatch):
+        solve = duality.min_error_solve
+
+        def failing_block(ensembles):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        def failing(e):
+            if e.n == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(e)
+
+        monkeypatch.setattr(harness, "min_error_solve_block", failing_block)
+        monkeypatch.setattr(duality, "min_error_solve", failing)
+        res = self.run("sweep", "--seed", "9", "--count", "2", "--n", "2,3", "--db", "1",
+                       "--relation", "L1_MEMORY", "--out", str(tmp_path / "x.csv"))
+        assert res.exit_code == 4
+        assert res.output == "internal error: s9-c1-i0: L1_MEMORY: LinAlgError: Singular matrix\n"
 
     def test_sweep_bad_args(self, tmp_path):
         res = self.run("sweep", "--seed", "1", "--count", "0", "--n", "2",

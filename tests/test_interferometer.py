@@ -8,8 +8,8 @@ from pathcoh.interferometer import (
     gram_to_states,
     scenario_reduced,
 )
-from pathcoh.linalg import purity
-from pathcoh.sampling import sample_scenario
+from pathcoh.linalg import Dims, partial_trace, purity
+from pathcoh.sampling import sample_scenario, subseed
 
 RNG = np.random.default_rng(77)
 
@@ -139,6 +139,23 @@ class TestReduceAll:
         red = scenario_reduced(spec)
         assert np.max(np.abs(np.diagonal(red.phi_gram) - 1)) <= 1e-9
         assert np.max(np.abs(np.diagonal(red.u_gram) - 1)) <= 1e-9
+
+
+class TestClosedFormReduced:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bitwise_equal_to_partial_trace_of_full_state(self, n):
+        for d_b in range(1, 5):
+            for d_d in range(1, n + 1):
+                spec = sample_scenario(subseed(17, n, d_b, d_d), n, d_b, d_d)
+                dims = Dims.of(("A", n), ("B", d_b), ("D", d_d))
+                psi = np.einsum("ij,ik->ijk", spec.amplitudes, spec.detector_states).ravel()
+                rho = np.outer(psi, psi.conj())
+                red = scenario_reduced(spec)
+                for got, keep in ((red.rho_ab, {"A", "B"}), (red.rho_a, {"A"}),
+                                  (red.rho_d, {"D"})):
+                    want = partial_trace(rho, dims, keep)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestBuildMixedNoMemory:
