@@ -2,7 +2,8 @@
 
 Exit codes: 0 all relations satisfied, 1 at least one violation,
 2 input/config error, 3 solver failed certification on any row,
-4 internal error (a failed internal invariant or a numerical failure).
+4 internal error (a failed internal invariant, a numerical failure or any
+other exception raised while checking a relation).
 """
 from __future__ import annotations
 
@@ -74,6 +75,9 @@ def check(scenario_file, relations, tol):
     elif isinstance(obj, ScenarioSpec):
         if relations:
             wanted = [Relation(r) for r in relations]
+            if Relation.TWO_PARTICLE_SUM in wanted:
+                click.echo("error: TWO_PARTICLE_SUM needs a two-particle file", err=True)
+                sys.exit(2)
         else:
             wanted = applicable_relations(DEFAULT_RELATIONS, obj.n, obj.d_b)
         obj = Evaluation(obj)  # the relations share its reduced states and solve
@@ -85,13 +89,14 @@ def check(scenario_file, relations, tol):
     for rel in wanted:
         try:
             rep = run_relation(rel, obj)
-        except (AssertionError, np.linalg.LinAlgError) as exc:
+        except Exception as exc:
+            # A ValueError says the relation does not apply to this input;
             # LinAlgError is a ValueError, but the input was valid.
+            if isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError):
+                click.echo(f"error: {rel.value}: {exc}", err=True)
+                sys.exit(2)
             click.echo(f"internal error: {rel.value}: {type(exc).__name__}: {exc}", err=True)
             sys.exit(4)
-        except ValueError as exc:
-            click.echo(f"error: {rel.value}: {exc}", err=True)
-            sys.exit(2)
         if tol is not None:
             ok = abs(rep.slack) <= tol if rep.equality else rep.slack >= -tol
             rep = type(rep)(**{**rep.__dict__, "satisfied": ok, "tol": tol})

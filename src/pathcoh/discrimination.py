@@ -61,6 +61,18 @@ class Ensemble:
         return np.einsum("i,ij,ik->jk", self.probs, self.states, self.states.conj())
 
 
+def _check_povms(stack: np.ndarray) -> None:
+    """Raise ValueError unless each collection of k elements of a (..., k, d, d)
+    stack is PSD to PSD_TOL and sums to identity to COMPLETE_TOL."""
+    low = np.linalg.eigvalsh((stack + dagger(stack)) / 2).min(axis=-1)
+    bad = np.argwhere(low < -PSD_TOL)
+    if bad.size:
+        where = tuple(bad[0])
+        raise ValueError(f"element {where[-1]} is not PSD: min eigenvalue {low[where]:.3e}")
+    if np.max(np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1]))) > COMPLETE_TOL:
+        raise ValueError("POVM elements do not sum to identity")
+
+
 @dataclass(frozen=True)
 class Povm:
     """Positive operators summing to identity, one per outcome."""
@@ -75,13 +87,7 @@ class Povm:
         for k, e in enumerate(els):
             if e.shape != (d, d):
                 raise ValueError(f"element {k} has shape {e.shape}, expected {(d, d)}")
-        stack = np.array(els)
-        low = np.linalg.eigvalsh((stack + dagger(stack)) / 2).min(axis=-1)
-        bad = np.flatnonzero(low < -PSD_TOL)
-        if bad.size:
-            raise ValueError(f"element {bad[0]} is not PSD: min eigenvalue {low[bad[0]]:.3e}")
-        if np.max(np.abs(stack.sum(axis=0) - np.eye(d))) > COMPLETE_TOL:
-            raise ValueError("POVM elements do not sum to identity")
+        _check_povms(np.array(els))
         object.__setattr__(self, "elements", els)
 
     @property
@@ -383,17 +389,38 @@ def min_error_solve_block(ensembles: list[Ensemble]) -> list[DiscriminationResul
             for e, r in zip(ensembles, _barrier_solve_stack(ensembles, SOLVER_TOL))]
 
 
+def _entropies(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each distribution along the last axis of a
+    nonnegative stack, each bitwise `shannon_entropy` of its row.
+
+    A row holding an exact zero goes through `shannon_entropy`, which drops
+    the zero and so groups the sum differently.
+    """
+    rows = p.reshape(-1, p.shape[-1])
+    positive = rows > 0.0
+    h = -(rows * np.log2(rows, out=np.zeros_like(rows), where=positive)).sum(axis=-1)
+    for i in np.flatnonzero(~positive.all(axis=-1)):
+        h[i] = shannon_entropy(rows[i])
+    return h.reshape(p.shape[:-1])
+
+
+def _information(probs: np.ndarray, states: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """I(D:M) in bits for ensembles (probs (..., n), states (..., n, d)) measured
+    by POVMs (elements (..., k, d, d)), the leading axes broadcast."""
+    amp = (states.conj()[..., :, None, None, :] @ elements[..., None, :, :, :]
+           @ states[..., :, None, :, None])
+    joint = np.clip(probs[..., :, None] * amp[..., 0, 0].real, 0.0, None)
+    h_d = _entropies(joint.sum(axis=-1))
+    h_m = _entropies(joint.sum(axis=-2))
+    h_dm = _entropies(joint.reshape(joint.shape[:-2] + (-1,)))
+    return h_d + h_m - h_dm
+
+
 def mutual_information(e: Ensemble, m: Povm) -> float:
     """I(D:M) in bits from the joint p_ij = p_i <phi_i|Pi_j|phi_i>."""
     if m.dim != e.dim:
         raise ValueError(f"dimension mismatch: POVM {m.dim}, ensemble {e.dim}")
-    s = e.states
-    amp = s.conj()[:, None, None, :] @ np.array(m.elements)[None] @ s[:, None, :, None]
-    joint = np.clip(e.probs[:, None] * amp[..., 0, 0].real, 0.0, None)
-    h_d = shannon_entropy(joint.sum(axis=1))
-    h_m = shannon_entropy(joint.sum(axis=0))
-    h_dm = shannon_entropy(joint.ravel())
-    return h_d + h_m - h_dm
+    return float(_information(e.probs, e.states, np.array(m.elements)))
 
 
 def holevo(e: Ensemble) -> float:
@@ -406,43 +433,58 @@ def _random_rank1_povm(rng, dim: int) -> Povm:
     return Povm(tuple(np.outer(u[:, k], u[:, k].conj()) for k in range(dim)))
 
 
-def _hill_climb(e: Ensemble, starts: list[Povm], rngs: list, steps: int = 40) -> list[float]:
+def _hill_climb(ensembles: list[Ensemble], starts: list[Povm], rngs: list,
+                steps: int = 40) -> np.ndarray:
     """Local ascent of I(D:M) by random perturbations of the element roots.
 
-    Runs every start in lockstep, start r drawing from rngs[r], on a
-    (restarts, k, d, d) stack; returns the best I(D:M) of each start.
+    Runs every start on every ensemble (all of one shape) in lockstep, on an
+    (ensembles, restarts, k, d, d) stack. Start r draws from rngs[r] whether
+    or not its proposals are accepted, so its draws are common to every
+    ensemble. Each proposal is validated as `Povm` validates. Returns the
+    best I(D:M) of each ensemble and start, shape (ensembles, restarts).
     """
-    elements = np.array([m.elements for m in starts])
-    best = [mutual_information(e, m) for m in starts]
-    eps = [0.2] * len(starts)
-    draw = (elements.shape[1], 2) + elements.shape[2:]  # k x (real, imag) parts
+    probs = np.array([e.probs for e in ensembles])[:, None]
+    states = np.array([e.states for e in ensembles])[:, None]
+    elements = np.array([[m.elements for m in starts]] * len(ensembles))
+    best = _information(probs, states, elements)
+    eps = np.full(best.shape, 0.2)
+    draw = (elements.shape[2], 2) + elements.shape[3:]  # k x (real, imag) parts
     for _ in range(steps):
         z = np.array([rng.standard_normal(draw) for rng in rngs])
         root, _ = _herm_power(elements, 0.5)
-        a = root + np.array(eps)[:, None, None, None] * (z[:, :, 0] + 1j * z[:, :, 1])
+        a = root + eps[..., None, None, None] * (z[:, :, 0] + 1j * z[:, :, 1])
         proposal = _renormalize(dagger(a) @ a)
-        for r, cand in enumerate(proposal):
-            val = mutual_information(e, Povm(tuple(cand)))
-            if val > best[r]:
-                best[r], elements[r] = val, cand
-                eps[r] = min(eps[r] * 1.2, 0.5)
-            else:
-                eps[r] = max(eps[r] * 0.7, 1e-3)
+        _check_povms(proposal)
+        val = _information(probs, states, proposal)
+        up = val > best
+        best[up], elements[up] = val[up], proposal[up]
+        eps = np.where(up, np.minimum(eps * 1.2, 0.5), np.maximum(eps * 0.7, 1e-3))
     return best
 
 
-def accessible_info_lower(e: Ensemble, min_error_povm: Povm, restarts: int = 4,
-                          seed: int = 0) -> float:
+def accessible_info_lower(e: Ensemble | list[Ensemble], min_error_povm: Povm | list[Povm],
+                          restarts: int = 4, seed: int = 0) -> float | list[float]:
     """Certified lower bound on the accessible information Acc(D), in bits.
 
     Best I(D:M) over the min-error POVM (from `min_error_solve`), the PGM,
     and `restarts` random rank-1 POVMs refined by local ascent. Monotone in
     `restarts` for a fixed seed.
+
+    `e` may be a list of ensembles of one shape (n, d), with a list of their
+    min-error POVMs; then the ascent runs on all of them in lockstep and a
+    list of bounds comes back. A lone ensemble is a block of one. Restart r
+    starts from the rank-1 POVM drawn from subseed(seed, r) and perturbs it
+    with that stream's later draws, so every ensemble searched with one seed
+    shares its starts and draws: a sweep searches every scenario with the
+    seed `config.seed`, and `pathcoh check` with seed 0.
     """
-    best = mutual_information(e, min_error_povm)
-    best = max(best, mutual_information(e, pretty_good_measurement(e)))
+    single = isinstance(e, Ensemble)
+    ensembles, povms = ([e], [min_error_povm]) if single else (e, min_error_povm)
+    best = [max(mutual_information(x, m), mutual_information(x, pretty_good_measurement(x)))
+            for x, m in zip(ensembles, povms)]
     if restarts:
         rngs = [subseed(seed, r) for r in range(restarts)]
-        starts = [_random_rank1_povm(rng, e.dim) for rng in rngs]
-        best = max(best, *_hill_climb(e, starts, rngs))
-    return best
+        starts = [_random_rank1_povm(rng, ensembles[0].dim) for rng in rngs]
+        best = [max(b, *climbed) for b, climbed in zip(best, _hill_climb(ensembles, starts, rngs))]
+    best = [float(b) for b in best]
+    return best[0] if single else best

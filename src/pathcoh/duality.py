@@ -84,12 +84,15 @@ class Evaluation:
     """The quantities of one scenario that every relation reads.
 
     Each is computed on first use and then kept, so the relations checked on
-    one scenario share one set of reduced states and one min-error solve. An
-    evaluation lives as long as its scenario's checks do.
+    one scenario share one set of reduced states, one min-error solve and one
+    accessible-information search per search setting. An evaluation lives as
+    long as its scenario's checks do.
     """
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
+        # Lower bounds on Acc(D) found so far, keyed by the search's (restarts, seed).
+        self.acc_lower: dict[tuple[int, int], float] = {}
 
     @classmethod
     def of(cls, target: ScenarioSpec | Evaluation) -> Evaluation:
@@ -233,7 +236,10 @@ def check_accessible_relation(spec: ScenarioSpec | Evaluation, restarts: int = 2
     ev = Evaluation.of(spec)
     red = ev.reduced
     ens = ev.ensemble
-    acc = accessible_info_lower(ens, ev.solution.povm, restarts=restarts, seed=seed)
+    if (restarts, seed) not in ev.acc_lower:
+        ev.acc_lower[restarts, seed] = accessible_info_lower(
+            ens, ev.solution.povm, restarts=restarts, seed=seed)
+    acc = ev.acc_lower[restarts, seed]
     c_r = rel_ent_coherence(red.rho_a)
     h_p = shannon_entropy(red.p)
     s_a = von_neumann_entropy(red.rho_a)

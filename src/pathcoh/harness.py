@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discrimination import Ensemble, min_error_solve_block
+from .discrimination import Ensemble, accessible_info_lower, min_error_solve_block
 from .duality import (
     DualityReport,
     Evaluation,
@@ -234,17 +234,21 @@ _NO_SHARED_SOLVE = (Relation.TWO_PATH_EQUALITY, Relation.TWO_PARTICLE_SUM)
 
 
 class InternalError(RuntimeError):
-    """A failed internal invariant or numerical failure on a sweep scenario;
-    the message names the scenario and the relation."""
+    """Any exception a relation raises on a sweep scenario: a failed internal
+    invariant, a numerical failure or a fault; the message names the scenario
+    and the relation."""
 
 
 def _eval_task(config: SweepConfig, cell_idx: int, scen_idx: int | range) -> list[SweepRow]:
     """Rows of one scenario, or of a block of one cell's scenarios (a range of
     indices), in scenario order.
 
-    A block's min-error problems are solved together (`min_error_solve_block`)
-    before any relation runs; the solve's time is split evenly over the
-    block's scenarios and added to each scenario's first row.
+    Before any relation runs, a block's min-error problems are solved together
+    (`min_error_solve_block`), and, when ACCESSIBLE is among the relations,
+    its accessible-information searches run together (`accessible_info_lower`
+    on the block). The solve's time is split evenly over the block's scenarios
+    and added to each scenario's first row, the search's to each ACCESSIBLE
+    row.
     """
     n, d_b = config.cells()[cell_idx]
     relations = applicable_relations(config.relations or DEFAULT_RELATIONS, n, d_b)
@@ -264,9 +268,23 @@ def _eval_task(config: SweepConfig, cell_idx: int, scen_idx: int | range) -> lis
         try:
             for ev, res in zip(evs, min_error_solve_block([ev.ensemble for ev in evs])):
                 ev.solution = res
-        except (AssertionError, ValueError):
+        except Exception:
             pass  # each scenario then solves alone, and its failure names it
         solve_ms = (time.perf_counter() - t0) * 1e3 / len(evs)
+
+    search_ms = 0.0
+    if Relation.ACCESSIBLE in relations:
+        t0 = time.perf_counter()
+        key = (config.restarts, config.seed)
+        try:
+            found = accessible_info_lower([ev.ensemble for ev in evs],
+                                          [ev.solution.povm for ev in evs],
+                                          restarts=config.restarts, seed=config.seed)
+            for ev, acc in zip(evs, found):
+                ev.acc_lower[key] = acc
+        except Exception:
+            pass  # each scenario then searches alone, and its failure names it
+        search_ms = (time.perf_counter() - t0) * 1e3 / len(evs)
 
     rows = []
     for i, ev, tp in zip(indices, evs, tps):
@@ -277,11 +295,13 @@ def _eval_task(config: SweepConfig, cell_idx: int, scen_idx: int | range) -> lis
             t0 = time.perf_counter()
             try:
                 rep = run_relation(rel, target, restarts=config.restarts, seed=config.seed)
-            except (AssertionError, ValueError) as exc:
+            except Exception as exc:
                 # The sweep made this scenario itself, so no input is at fault.
                 raise InternalError(f"{scenario_id}: {rel.value}: "
                                     f"{type(exc).__name__}: {exc}") from exc
             ms = (time.perf_counter() - t0) * 1e3 + extra_ms
+            if rel is Relation.ACCESSIBLE:
+                ms += search_ms
             extra_ms = 0.0
             tol = config.tol_overrides.get(rel)
             ok = rep.satisfied if tol is None else (

@@ -8,8 +8,11 @@ from pathcoh.discrimination import (
     Povm,
     _barrier_solve,
     _barrier_solve_stack,
+    _check_povms,
     _dual_residual,
+    _entropies,
     _hill_climb,
+    _information,
     _random_rank1_povm,
     _renormalize,
     accessible_info_lower,
@@ -435,6 +438,17 @@ class TestCertificateGap:
         assert certificate_gap(e, swapped) > 0.1
 
 
+def information_by_loop(e, m):
+    """I(D:M) from a joint table filled one <phi_i|Pi_j|phi_i> at a time."""
+    joint = np.empty((e.n, len(m.elements)))
+    for i in range(e.n):
+        for j, el in enumerate(m.elements):
+            joint[i, j] = e.probs[i] * (e.states[i].conj() @ el @ e.states[i]).real
+    joint = np.clip(joint, 0.0, None)
+    return (shannon_entropy(joint.sum(axis=1)) + shannon_entropy(joint.sum(axis=0))
+            - shannon_entropy(joint.ravel()))
+
+
 class TestInformation:
     def test_orthonormal_full_information(self):
         e = Ensemble(np.full(2, 0.5), np.eye(2, dtype=complex))
@@ -456,14 +470,7 @@ class TestInformation:
             u = np.linalg.qr(rng.standard_normal((d, d))
                              + 1j * rng.standard_normal((d, d)))[0]
             m = Povm(tuple(np.outer(u[:, k], u[:, k].conj()) for k in range(d)))
-            joint = np.empty((n, d))
-            for i in range(n):
-                for j, el in enumerate(m.elements):
-                    joint[i, j] = e.probs[i] * (e.states[i].conj() @ el @ e.states[i]).real
-            joint = np.clip(joint, 0.0, None)
-            want = (shannon_entropy(joint.sum(axis=1)) + shannon_entropy(joint.sum(axis=0))
-                    - shannon_entropy(joint.ravel()))
-            assert mutual_information(e, m) == want
+            assert mutual_information(e, m) == information_by_loop(e, m)
 
     def test_holevo_values(self):
         e = Ensemble(np.full(2, 0.5), np.eye(2, dtype=complex))
@@ -530,7 +537,7 @@ class TestAccessibleInfoLower:
         e = detector_ensemble(sample_scenario(subseed(2024, k), n, d_b, d_d))
         rngs = [subseed(101, r) for r in range(2)]
         starts = [_random_rank1_povm(rng, e.dim) for rng in rngs]
-        assert tuple(float.hex(v) for v in _hill_climb(e, starts, rngs)) == expected
+        assert tuple(float.hex(v) for v in _hill_climb([e], starts, rngs)[0]) == expected
 
     def test_orthonormal(self):
         e = Ensemble(np.full(2, 0.5), np.eye(2, dtype=complex))
@@ -551,6 +558,88 @@ class TestAccessibleInfoLower:
             lo2 = accessible_info_lower(e, m, restarts=2, seed=7)
             assert lo0 <= lo2 + 1e-12
             assert -1e-10 <= lo2 <= holevo(e) + 1e-9
+
+
+def _restart_streams(seed, restarts, dim):
+    rngs = [subseed(seed, r) for r in range(restarts)]
+    return [_random_rank1_povm(rng, dim) for rng in rngs], rngs
+
+
+class TestBlockAscent:
+    """The search of a block of ensembles, bit for bit one ensemble at a time."""
+
+    @pytest.mark.parametrize("n, d_d", [(n, d) for n in range(2, 6) for d in range(1, n + 1)])
+    def test_block_matches_one_at_a_time(self, n, d_d):
+        ens = [detector_ensemble(sample_scenario(subseed(31, n, d_d, i), n, 1 + i % 2, d_d))
+               for i in range(3)]
+        povms = [min_error_solve(e).povm for e in ens]
+        block = accessible_info_lower(ens, povms, restarts=2, seed=101)
+        alone = [accessible_info_lower(e, m, restarts=2, seed=101) for e, m in zip(ens, povms)]
+        assert [float.hex(v) for v in block] == [float.hex(v) for v in alone]
+        climbed = _hill_climb(ens, *_restart_streams(101, 2, d_d))
+        for e, row in zip(ens, climbed):
+            want = _hill_climb([e], *_restart_streams(101, 2, d_d))[0]
+            assert [float.hex(v) for v in row] == [float.hex(v) for v in want]
+
+    def test_members_accept_at_different_steps(self):
+        ens = [detector_ensemble(sample_scenario(subseed(2024, k), 4, 1)) for k in (4, 5, 6)]
+
+        def accepted(block, steps):
+            return _hill_climb(block, *_restart_streams(101, 2, 4), steps=steps)
+
+        # A start's best rises after step t exactly when step t accepts.
+        trail = np.array([accepted(ens, t) for t in range(13)])  # (steps, block, restarts)
+        accepts = trail[1:] > trail[:-1]
+        assert len({accepts[:, b].tobytes() for b in range(len(ens))}) == len(ens)
+        assert accepts.any() and not accepts.all()
+        for b, e in enumerate(ens):
+            assert np.array_equal(trail[:, b], np.array([accepted([e], t)[0] for t in range(13)]))
+
+    def test_block_of_one(self):
+        e = detector_ensemble(sample_scenario(subseed(2024, 7), 5, 2))
+        m = min_error_solve(e).povm
+        assert accessible_info_lower([e], [m], restarts=2, seed=101) == \
+            [float.fromhex(ACCESSIBLE_HEX[7][1])]
+
+
+class TestStackedChecks:
+    def test_entropies_match_shannon_entropy(self):
+        # Rows of 12, as the joint table of N = 4 and 3 outcomes: from 8 terms
+        # on, numpy sums in a pairwise grouping that a dropped zero shifts.
+        rng = np.random.default_rng(8)
+        p = rng.dirichlet(np.ones(12), size=(3, 4))
+        p[0, 1, 2] = 0.0
+        p[2, 3, :3] = 0.0
+        p[1, 0, 4] = -0.0
+        h = _entropies(p)
+        assert h.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            assert float.hex(float(h[idx])) == float.hex(shannon_entropy(p[idx]))
+
+    def test_information_of_a_stack_matches_one_at_a_time(self):
+        rng = np.random.default_rng(9)
+        ens = [random_ensemble(rng, 4, 3) for _ in range(3)]
+        povms = [_random_rank1_povm(rng, 3) for _ in range(2)]
+        probs = np.array([e.probs for e in ens])[:, None]
+        states = np.array([e.states for e in ens])[:, None]
+        stack = np.array([[m.elements for m in povms]] * 3)
+        got = _information(probs, states, stack)
+        assert got.shape == (3, 2)
+        for b, e in enumerate(ens):
+            for r, m in enumerate(povms):
+                assert float.hex(float(got[b, r])) == float.hex(information_by_loop(e, m))
+
+    def test_povm_checks_reject_one_bad_collection(self):
+        good = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+        _check_povms(np.array([[good, good]]))
+        not_psd = np.array([np.diag([1.0 + 1e-8, -1e-8]), np.diag([-0.0, 1.0 + 1e-8])])
+        with pytest.raises(ValueError, match="element 0 is not PSD"):
+            _check_povms(np.array([[good, not_psd.astype(complex)]]))
+        incomplete = good * (1.0 + 2e-9)
+        with pytest.raises(ValueError, match="do not sum to identity"):
+            _check_povms(np.array([[good], [incomplete]]))
+        with pytest.raises(ValueError, match="do not sum to identity"):
+            Povm(tuple(incomplete))
 
 
 class TestDiscriminationResult:

@@ -341,6 +341,54 @@ class TestBlockSweep:
         assert values(run_sweep(cfg)) == expected
 
 
+    def test_block_search_runs_once_per_block(self, monkeypatch):
+        calls = []
+        search = harness.accessible_info_lower
+
+        def counted(e, povms, **kwargs):
+            calls.append(len(e))
+            return search(e, povms, **kwargs)
+
+        monkeypatch.setattr(harness, "accessible_info_lower", counted)
+        _count_calls(monkeypatch, calls, duality, "accessible_info_lower")
+        cfg = SweepConfig(seed=3, count=BLOCK_SIZE + 1, n_values=(2,), d_b_values=(1,),
+                          relations=(Relation.L1_MEMORY, Relation.ACCESSIBLE))
+        run_sweep(cfg)
+        assert calls == [BLOCK_SIZE, 1]
+        calls.clear()
+        run_sweep(SweepConfig(seed=3, count=3, n_values=(2,), d_b_values=(1,),
+                              relations=(Relation.L1_MEMORY,)))
+        assert calls == []
+
+    def test_block_search_time_lands_on_accessible_rows(self, monkeypatch):
+        search = harness.accessible_info_lower
+
+        def slow(*args, **kwargs):
+            time.sleep(0.04)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "accessible_info_lower", slow)
+        cfg = SweepConfig(seed=3, count=4, n_values=(2,), d_b_values=(1,),
+                          relations=(Relation.L1_MEMORY, Relation.ACCESSIBLE))
+        rows = run_sweep(cfg)
+        l1, acc = rows[0::2], rows[1::2]
+        assert all(r.relation == "ACCESSIBLE" and r.wall_time_ms >= 40.0 / 4 for r in acc)
+        assert sum(r.wall_time_ms for r in l1) < 40.0
+
+    def test_failed_block_search_falls_back_to_single_searches(self, monkeypatch):
+        def values(rows):
+            return [(r.scenario_id, r.relation, r.lhs, r.rhs, r.certified) for r in rows]
+
+        cfg = SweepConfig(seed=3, count=3, n_values=(3,), d_b_values=(1, 2))
+        expected = values(run_sweep(cfg))
+
+        def failing(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(harness, "accessible_info_lower", failing)
+        assert values(run_sweep(cfg)) == expected
+
+
 # SHA-256 of reference sweep CSVs; rows must not move unless a change says so.
 REFERENCE_CSVS = [
     (["--seed", "101", "--count", "8", "--n", "2,3,4,5", "--db", "1,2"],
@@ -428,6 +476,16 @@ class TestWitnessReport:
         assert rep["cond_ent_witness"] >= -1e-9
 
 
+# Exceptions a relation may raise on valid input; each must exit 4, not 1.
+INTERNAL_ERRORS = [
+    AssertionError("Holevo intermediate bound violated"),
+    np.linalg.LinAlgError("Eigenvalues did not converge"),
+    ZeroDivisionError("float division by zero"),
+    FloatingPointError("overflow encountered in multiply"),
+    IndexError("index 3 is out of bounds for axis 0 with size 3"),
+]
+
+
 class TestCli:
     def run(self, *args):
         return CliRunner().invoke(main, args)
@@ -461,8 +519,7 @@ class TestCli:
         res = self.run("check", str(p), "--relation", "TWO_PATH_EQUALITY")
         assert res.exit_code == 2
 
-    @pytest.mark.parametrize("exc", [AssertionError("Holevo intermediate bound violated"),
-                                     np.linalg.LinAlgError("Eigenvalues did not converge")])
+    @pytest.mark.parametrize("exc", INTERNAL_ERRORS)
     def test_check_internal_error_exits_4(self, tmp_path, monkeypatch, exc):
         def failing(rel, obj):
             raise exc
@@ -491,8 +548,7 @@ class TestCli:
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("exc", [AssertionError("Holevo intermediate bound violated"),
-                                     np.linalg.LinAlgError("Eigenvalues did not converge")])
+    @pytest.mark.parametrize("exc", INTERNAL_ERRORS)
     def test_sweep_internal_error_exits_4(self, tmp_path, monkeypatch, exc):
         relation = harness.run_relation
 
@@ -525,6 +581,68 @@ class TestCli:
                        "--relation", "L1_MEMORY", "--out", str(tmp_path / "x.csv"))
         assert res.exit_code == 4
         assert res.output == "internal error: s9-c1-i0: L1_MEMORY: LinAlgError: Singular matrix\n"
+
+    def test_check_memoryless_relation_needs_db1(self, tmp_path):
+        doc = json.loads(json.dumps(SCENARIO_DOC))
+        doc["amplitudes"] = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
+        res = self.run("check", str(write_doc(tmp_path, doc)), "--relation", "L1_NO_MEMORY")
+        assert res.exit_code == 2
+        assert "needs d_B = 1, got 2" in res.output
+        assert "internal error" not in res.output
+
+    def test_check_two_particle_relation_needs_two_particle_file(self, tmp_path):
+        p = write_doc(tmp_path, SCENARIO_DOC)
+        res = self.run("check", str(p), "--relation", "TWO_PARTICLE_SUM")
+        assert res.exit_code == 2
+        assert res.output == "error: TWO_PARTICLE_SUM needs a two-particle file\n"
+
+    def test_sweep_failed_search_names_its_scenario(self, tmp_path, monkeypatch):
+        search = duality.accessible_info_lower
+
+        def failing_block(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        def failing(e, m, **kwargs):
+            if e.n == 3:
+                raise IndexError("index 3 is out of bounds for axis 0 with size 3")
+            return search(e, m, **kwargs)
+
+        monkeypatch.setattr(harness, "accessible_info_lower", failing_block)
+        monkeypatch.setattr(duality, "accessible_info_lower", failing)
+        res = self.run("sweep", "--seed", "9", "--count", "2", "--n", "2,3", "--db", "1",
+                       "--relation", "ACCESSIBLE", "--out", str(tmp_path / "x.csv"))
+        assert res.exit_code == 4
+        assert res.output == ("internal error: s9-c1-i0: ACCESSIBLE: IndexError: "
+                              "index 3 is out of bounds for axis 0 with size 3\n")
+
+    def test_sweep_failed_validation_in_one_member_names_it(self, tmp_path, monkeypatch):
+        # Every proposal of a search that includes scenario s9-c0-i1 fails
+        # validation: the block search fails, the sweep falls back to single
+        # searches, and only that scenario's search fails again.
+        target = duality.detector_ensemble(sample_scenario(subseed(9, 0, 1), 3, 1))
+        climb, check = discrimination._hill_climb, discrimination._check_povms
+        sizes = []
+
+        def rejecting(stack):
+            check(stack)
+            raise ValueError("element 0 is not PSD: min eigenvalue -1.000e+00")
+
+        def climb_with_target_rejected(ensembles, starts, rngs, steps=40):
+            sizes.append(len(ensembles))
+            if any(np.array_equal(e.states, target.states) for e in ensembles):
+                monkeypatch.setattr(discrimination, "_check_povms", rejecting)
+            try:
+                return climb(ensembles, starts, rngs, steps)
+            finally:
+                monkeypatch.setattr(discrimination, "_check_povms", check)
+
+        monkeypatch.setattr(discrimination, "_hill_climb", climb_with_target_rejected)
+        res = self.run("sweep", "--seed", "9", "--count", "3", "--n", "3", "--db", "1",
+                       "--relation", "ACCESSIBLE", "--out", str(tmp_path / "x.csv"))
+        assert res.exit_code == 4
+        assert res.output == ("internal error: s9-c0-i1: ACCESSIBLE: ValueError: "
+                              "element 0 is not PSD: min eigenvalue -1.000e+00\n")
+        assert sizes == [3, 1, 1]
 
     def test_sweep_bad_args(self, tmp_path):
         res = self.run("sweep", "--seed", "1", "--count", "0", "--n", "2",
