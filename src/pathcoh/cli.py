@@ -8,12 +8,13 @@ other exception raised while checking a relation).
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import click
 import numpy as np
 
 from .discrimination import Ensemble, min_error_solve, pairwise_bound
-from .duality import Evaluation, Relation, TwoParticleScenario
+from .duality import Evaluation, Relation, TwoParticleScenario, holds
 from .harness import (
     InternalError,
     ScenarioParseError,
@@ -98,8 +99,7 @@ def check(scenario_file, relations, tol):
             click.echo(f"internal error: {rel.value}: {type(exc).__name__}: {exc}", err=True)
             sys.exit(4)
         if tol is not None:
-            ok = abs(rep.slack) <= tol if rep.equality else rep.slack >= -tol
-            rep = type(rep)(**{**rep.__dict__, "satisfied": ok, "tol": tol})
+            rep = replace(rep, satisfied=holds(rep.slack, rep.equality, tol))
         reports.append(rep)
         status = "PASS" if rep.satisfied else "FAIL"
         click.echo(f"{rep.relation_id.value}: {status}  lhs={_fmt(rep.lhs)} "

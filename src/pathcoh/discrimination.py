@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, eigh, shannon_entropy, trace_norm, von_neumann_entropy
+from .linalg import PSD_TOL, dagger, eigh, shannon_entropy, trace_norm, von_neumann_entropy
 from .sampling import haar_unitary, subseed
 
-PSD_TOL = 1e-9
 COMPLETE_TOL = 1e-9
 # A solver result counts as certified optimal when its gap -- an upper bound
 # on the optimal success probability, from a dual-feasible operator, minus
@@ -23,6 +22,8 @@ COMPLETE_TOL = 1e-9
 CERT_THRESHOLD = 1e-7
 # Central-path gap at which the min-error solve stops.
 SOLVER_TOL = 1e-10
+# Random rank-1 starts of the accessible-information search.
+ACC_RESTARTS = 2
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,8 @@ class Ensemble:
         s = np.asarray(self.states, dtype=complex)
         if s.ndim != 2 or p.shape != (s.shape[0],):
             raise ValueError(f"need one probability per state: {p.shape} vs {s.shape}")
+        if not (np.isfinite(p).all() and np.isfinite(s).all()):
+            raise ValueError("probabilities and states must be finite")
         if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError(f"probabilities must be >= 0 and sum to 1, got {p}")
         norms = np.linalg.norm(s, axis=1)
@@ -153,13 +156,12 @@ def certificate_gap(e: Ensemble, m: Povm) -> float:
     return _dual_residual(e, rhos, (y + dagger(y)) / 2)
 
 
-def _herm_power(m: np.ndarray, power: float,
-                cutoff: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """m^power on the support of Hermitian PSD m (eigenvalues <= cutoff -> 0),
+def _herm_power(m: np.ndarray, power: float) -> tuple[np.ndarray, np.ndarray]:
+    """m^power on the support of Hermitian PSD m (eigenvalues <= 1e-12 -> 0),
     and the projector onto its null space; m may be a stack (..., d, d)."""
     w, v = eigh(m)
-    null = (v * (w <= cutoff).astype(float)[..., None, :]) @ dagger(v)
-    w = np.where(w > cutoff, np.clip(w, cutoff, None) ** power, 0.0)
+    null = (v * (w <= 1e-12).astype(float)[..., None, :]) @ dagger(v)
+    w = np.where(w > 1e-12, np.clip(w, 1e-12, None) ** power, 0.0)
     return (v * w[..., None, :]) @ dagger(v), null
 
 
@@ -463,7 +465,7 @@ def _hill_climb(ensembles: list[Ensemble], starts: list[Povm], rngs: list,
 
 
 def accessible_info_lower(e: Ensemble | list[Ensemble], min_error_povm: Povm | list[Povm],
-                          restarts: int = 4, seed: int = 0) -> float | list[float]:
+                          restarts: int = ACC_RESTARTS, seed: int = 0) -> float | list[float]:
     """Certified lower bound on the accessible information Acc(D), in bits.
 
     Best I(D:M) over the min-error POVM (from `min_error_solve`), the PGM,
@@ -475,8 +477,8 @@ def accessible_info_lower(e: Ensemble | list[Ensemble], min_error_povm: Povm | l
     list of bounds comes back. A lone ensemble is a block of one. Restart r
     starts from the rank-1 POVM drawn from subseed(seed, r) and perturbs it
     with that stream's later draws, so every ensemble searched with one seed
-    shares its starts and draws: a sweep searches every scenario with the
-    seed `config.seed`, and `pathcoh check` with seed 0.
+    shares its starts and draws. The seed is the scenario's
+    `Evaluation.seed`: the sweep's seed in a sweep, 0 in `pathcoh check`.
     """
     single = isinstance(e, Ensemble)
     ensembles, povms = ([e], [min_error_povm]) if single else (e, min_error_povm)

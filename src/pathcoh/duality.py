@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -40,8 +40,6 @@ class Relation(str, enum.Enum):
     ENTROPIC_MEMORY = "ENTROPIC_MEMORY"
     ACCESSIBLE = "ACCESSIBLE"
     TWO_PARTICLE_SUM = "TWO_PARTICLE_SUM"
-    WITNESS_PURITY = "WITNESS_PURITY"
-    WITNESS_COND_ENT = "WITNESS_COND_ENT"
 
 
 @dataclass(frozen=True)
@@ -56,23 +54,26 @@ class DualityReport:
     components: dict[str, float]
     solver_certified: bool
     equality: bool = False
-    tol: float = INEQ_TOL
 
 
-def _report(relation, lhs, rhs, components, certified, *, equality=False, tol=None):
+def holds(slack: float, equality: bool, tol: float | None = None) -> bool:
+    """The verdict on a relation's slack rhs - lhs: |slack| <= tol for an
+    equality, slack >= -tol otherwise; tol defaults to EQ_TOL or INEQ_TOL."""
     tol = (EQ_TOL if equality else INEQ_TOL) if tol is None else tol
+    return bool(abs(slack) <= tol if equality else slack >= -tol)
+
+
+def _report(relation, lhs, rhs, components, certified, *, equality=False):
     slack = rhs - lhs
-    ok = abs(slack) <= tol if equality else slack >= -tol
     return DualityReport(
         relation_id=relation,
         lhs=float(lhs),
         rhs=float(rhs),
         slack=float(slack),
-        satisfied=bool(ok),
+        satisfied=holds(slack, equality),
         components={k: float(v) for k, v in components.items()},
         solver_certified=bool(certified),
         equality=equality,
-        tol=tol,
     )
 
 
@@ -85,14 +86,13 @@ class Evaluation:
 
     Each is computed on first use and then kept, so the relations checked on
     one scenario share one set of reduced states, one min-error solve and one
-    accessible-information search per search setting. An evaluation lives as
+    accessible-information search, seeded by `seed`. An evaluation lives as
     long as its scenario's checks do.
     """
 
-    def __init__(self, spec: ScenarioSpec):
+    def __init__(self, spec: ScenarioSpec, seed: int = 0):
         self.spec = spec
-        # Lower bounds on Acc(D) found so far, keyed by the search's (restarts, seed).
-        self.acc_lower: dict[tuple[int, int], float] = {}
+        self.seed = seed
 
     @classmethod
     def of(cls, target: ScenarioSpec | Evaluation) -> Evaluation:
@@ -110,6 +110,11 @@ class Evaluation:
     def solution(self) -> DiscriminationResult:
         """The min-error solve of the detector ensemble."""
         return min_error_solve(self.ensemble)
+
+    @cached_property
+    def acc_lower(self) -> float:
+        """Lower bound on Acc(D) from the search seeded by `seed`."""
+        return accessible_info_lower(self.ensemble, self.solution.povm, seed=self.seed)
 
 
 def check_l1_memory(spec: ScenarioSpec | Evaluation) -> DualityReport:
@@ -225,8 +230,7 @@ def check_entropic_memory(spec: ScenarioSpec | Evaluation,
     return _report(Relation.ENTROPIC_MEMORY, lhs, rhs, comps, certified)
 
 
-def check_accessible_relation(spec: ScenarioSpec | Evaluation, restarts: int = 2,
-                              seed: int = 0) -> DualityReport:
+def check_accessible_relation(spec: ScenarioSpec | Evaluation) -> DualityReport:
     """Acc(D) + C_r(rho_A) <= H({p_i}) + S(B|A).
 
     Only a lower bound on Acc(D) is computable; the report additionally
@@ -235,24 +239,19 @@ def check_accessible_relation(spec: ScenarioSpec | Evaluation, restarts: int = 2
     """
     ev = Evaluation.of(spec)
     red = ev.reduced
-    ens = ev.ensemble
-    if (restarts, seed) not in ev.acc_lower:
-        ev.acc_lower[restarts, seed] = accessible_info_lower(
-            ens, ev.solution.povm, restarts=restarts, seed=seed)
-    acc = ev.acc_lower[restarts, seed]
+    acc = ev.acc_lower
     c_r = rel_ent_coherence(red.rho_a)
     h_p = shannon_entropy(red.p)
     s_a = von_neumann_entropy(red.rho_a)
     s_ab = von_neumann_entropy(red.rho_ab)
-    chi = holevo(ens)
+    chi = holevo(ev.ensemble)
     lhs = acc + c_r
     rhs = h_p + (s_ab - s_a)
     holevo_ok = chi + c_r <= rhs + INEQ_TOL
-    ok = holevo_ok and (rhs - lhs >= -INEQ_TOL)
     comps = {"Acc_lower": acc, "C_r": c_r, "H_p": h_p, "holevo": chi,
              "S_cond_BA": s_ab - s_a, "holevo_dominance": float(holevo_ok)}
     rep = _report(Relation.ACCESSIBLE, lhs, rhs, comps, True)
-    return DualityReport(**{**rep.__dict__, "satisfied": bool(ok)})
+    return replace(rep, satisfied=rep.satisfied and bool(holevo_ok))
 
 
 @dataclass(frozen=True)
@@ -273,6 +272,8 @@ class TwoParticleScenario:
         db = np.asarray(self.detector_b, dtype=complex)
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 2:
             raise ValueError(f"joint amplitudes must be N x N, N >= 2, got {c.shape}")
+        if not all(np.isfinite(x).all() for x in (c, da, db)):
+            raise ValueError("amplitudes and detector states must be finite")
         if abs(float(np.sum(np.abs(c) ** 2)) - 1.0) > 1e-9:
             raise ValueError("joint amplitudes not normalized")
         n = c.shape[0]

@@ -11,7 +11,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -139,8 +139,6 @@ class SweepConfig:
     d_b_values: tuple[int, ...]
     d_d: int | None = None  # None: detector dimension follows N
     relations: tuple[Relation, ...] | None = None  # None: all applicable
-    tol_overrides: dict = field(default_factory=dict)
-    restarts: int = 2  # accessible-information restarts
 
     def __post_init__(self):
         if self.count < 1:
@@ -200,8 +198,7 @@ def sample_two_particle(rng, n: int, d_d: int | None = None) -> TwoParticleScena
     return TwoParticleScenario(amps, da, db)
 
 
-def run_relation(relation: Relation, spec, *, restarts: int = 2,
-                 seed: int = 0) -> DualityReport:
+def run_relation(relation: Relation, spec) -> DualityReport:
     """Evaluate one relation on a ScenarioSpec, an Evaluation of one (which
     shares its reduced states and solve between calls), or a
     TwoParticleScenario."""
@@ -220,7 +217,7 @@ def run_relation(relation: Relation, spec, *, restarts: int = 2,
     if relation is Relation.ENTROPIC_NO_MEMORY:
         return check_entropic_no_memory(spec)
     if relation is Relation.ACCESSIBLE:
-        return check_accessible_relation(spec, restarts=restarts, seed=seed)
+        return check_accessible_relation(spec)
     raise ValueError(f"relation {relation} is not sweepable")
 
 
@@ -256,8 +253,8 @@ def _eval_task(config: SweepConfig, cell_idx: int, scen_idx: int | range) -> lis
 
     evs = tps = [None] * len(indices)
     if any(r is not Relation.TWO_PARTICLE_SUM for r in relations):
-        evs = [Evaluation(sample_scenario(subseed(config.seed, cell_idx, i),
-                                          n, d_b, config.d_d)) for i in indices]
+        evs = [Evaluation(sample_scenario(subseed(config.seed, cell_idx, i), n, d_b,
+                                          config.d_d), seed=config.seed) for i in indices]
     if Relation.TWO_PARTICLE_SUM in relations:
         tps = [sample_two_particle(subseed(config.seed, cell_idx, i, 1), n, config.d_d)
                for i in indices]
@@ -275,13 +272,11 @@ def _eval_task(config: SweepConfig, cell_idx: int, scen_idx: int | range) -> lis
     search_ms = 0.0
     if Relation.ACCESSIBLE in relations:
         t0 = time.perf_counter()
-        key = (config.restarts, config.seed)
         try:
             found = accessible_info_lower([ev.ensemble for ev in evs],
-                                          [ev.solution.povm for ev in evs],
-                                          restarts=config.restarts, seed=config.seed)
+                                          [ev.solution.povm for ev in evs], seed=config.seed)
             for ev, acc in zip(evs, found):
-                ev.acc_lower[key] = acc
+                ev.acc_lower = acc
         except Exception:
             pass  # each scenario then searches alone, and its failure names it
         search_ms = (time.perf_counter() - t0) * 1e3 / len(evs)
@@ -294,7 +289,7 @@ def _eval_task(config: SweepConfig, cell_idx: int, scen_idx: int | range) -> lis
             target = tp if rel is Relation.TWO_PARTICLE_SUM else ev
             t0 = time.perf_counter()
             try:
-                rep = run_relation(rel, target, restarts=config.restarts, seed=config.seed)
+                rep = run_relation(rel, target)
             except Exception as exc:
                 # The sweep made this scenario itself, so no input is at fault.
                 raise InternalError(f"{scenario_id}: {rel.value}: "
@@ -303,12 +298,9 @@ def _eval_task(config: SweepConfig, cell_idx: int, scen_idx: int | range) -> lis
             if rel is Relation.ACCESSIBLE:
                 ms += search_ms
             extra_ms = 0.0
-            tol = config.tol_overrides.get(rel)
-            ok = rep.satisfied if tol is None else (
-                abs(rep.slack) <= tol if rep.equality else rep.slack >= -tol)
             rows.append(SweepRow(
                 scenario_id=scenario_id, relation=rel.value, n=n, d_b=d_b,
-                lhs=rep.lhs, rhs=rep.rhs, slack=rep.slack, satisfied=ok,
+                lhs=rep.lhs, rhs=rep.rhs, slack=rep.slack, satisfied=rep.satisfied,
                 certified=rep.solver_certified, wall_time_ms=ms))
     return rows
 

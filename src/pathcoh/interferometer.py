@@ -69,6 +69,8 @@ class ScenarioSpec:
         if phi.ndim != 2 or phi.shape[0] != a.shape[0]:
             raise ValueError(
                 f"need one detector state per path: {phi.shape} vs N={a.shape[0]}")
+        if not (np.isfinite(a).all() and np.isfinite(phi).all()):
+            raise ValueError("amplitudes and detector states must be finite")
         total = float(np.sum(np.abs(a) ** 2))
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"amplitude table not normalized: sum |a|^2 = {total:.12g}")
@@ -110,14 +112,12 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class ReducedSet:
-    """All reduced states of |Psi>_ABD plus the overlap tables they depend on."""
+    """All reduced states of |Psi>_ABD and the path probabilities."""
 
     rho_ab: np.ndarray
     rho_a: np.ndarray
     rho_d: np.ndarray
     p: np.ndarray
-    phi_gram: np.ndarray
-    u_gram: np.ndarray
 
 
 def scenario_reduced(spec: ScenarioSpec) -> ReducedSet:
@@ -154,8 +154,6 @@ def scenario_reduced(spec: ScenarioSpec) -> ReducedSet:
         rho_a=rho_a,
         rho_d=rho_d,
         p=spec.path_probs,
-        phi_gram=gram_matrix(spec.detector_states),
-        u_gram=gram_matrix(spec.memory_states),
     )
 
 

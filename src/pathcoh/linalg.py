@@ -53,27 +53,26 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> None:
+def require_hermitian(m: np.ndarray) -> None:
     dev = float(np.max(np.abs(m - dagger(m))))
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {tol:.0e})")
+    if dev > HERM_TOL:
+        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {HERM_TOL:.0e})")
 
 
-def check_density_matrix(rho: np.ndarray, *, herm_tol: float = HERM_TOL,
-                         trace_tol: float = TRACE_TOL, psd_tol: float = PSD_TOL) -> None:
+def check_density_matrix(rho: np.ndarray) -> None:
     """Raise ValueError unless rho is Hermitian, unit trace and PSD within tolerance."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     if not np.all(np.isfinite(rho.view(float))):
         raise ValueError("density matrix has non-finite entries")
-    require_hermitian(rho, herm_tol)
+    require_hermitian(rho)
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace is {tr:.12g}, not 1 within {trace_tol:.0e}")
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace is {tr:.12g}, not 1 within {TRACE_TOL:.0e}")
     lo = float(np.linalg.eigvalsh((rho + dagger(rho)) / 2).min())
-    if lo < -psd_tol:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {lo:.3e} < -{psd_tol:.0e}")
+    if lo < -PSD_TOL:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {lo:.3e} < -{PSD_TOL:.0e}")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,12 +136,12 @@ def purity(rho: np.ndarray) -> float:
     return float(np.trace(rho @ rho).real)
 
 
-def clip_spectrum(w: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    """Clip eigenvalues in [-tol, 0) to 0; anything below -tol is an error."""
+def clip_spectrum(w: np.ndarray) -> np.ndarray:
+    """Clip eigenvalues in [-PSD_TOL, 0) to 0; anything below -PSD_TOL is an error."""
     w = np.asarray(w, dtype=float)
     lo = float(w.min()) if w.size else 0.0
-    if lo < -tol:
-        raise ValueError(f"genuinely negative eigenvalue {lo:.3e} (below -{tol:.0e})")
+    if lo < -PSD_TOL:
+        raise ValueError(f"genuinely negative eigenvalue {lo:.3e} (below -{PSD_TOL:.0e})")
     return np.clip(w, 0.0, None)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pathcoh.duality import (
+    Evaluation,
     Relation,
     TwoParticleScenario,
     check_accessible_relation,
@@ -163,14 +164,14 @@ class TestAccessible:
     def test_orthonormal_detectors(self):
         amps = np.array([[1], [1]], dtype=complex) / np.sqrt(2)
         spec = ScenarioSpec(amps, np.eye(2, dtype=complex))
-        rep = check_accessible_relation(spec, restarts=0)
+        rep = check_accessible_relation(Evaluation(spec, seed=0))
         assert rep.components["Acc_lower"] == pytest.approx(1.0, abs=1e-8)
         assert rep.satisfied
 
     def test_random_scenarios_satisfied_via_holevo(self):
         for s in range(20):
             spec = sample_scenario(s, 2 + s % 3, 1 + s % 3)
-            rep = check_accessible_relation(spec, restarts=1, seed=s)
+            rep = check_accessible_relation(Evaluation(spec, seed=s))
             assert rep.satisfied, (s, rep.slack)
             assert rep.components["holevo_dominance"] == 1.0
             assert rep.components["Acc_lower"] <= rep.components["holevo"] + 1e-9

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from pathcoh import cli, discrimination, duality, harness
 from pathcoh.cli import main
 from pathcoh.discrimination import Ensemble
-from pathcoh.duality import Relation, TwoParticleScenario
+from pathcoh.duality import Evaluation, Relation, TwoParticleScenario
 from pathcoh.harness import (
     BLOCK_SIZE,
     CSV_HEADER,
@@ -252,14 +252,6 @@ class TestRunSweep:
         pools = self._pool_sizes(monkeypatch, cfg, 8, 8)
         assert pools == ([] if workers is None else [workers])
 
-    def test_tol_override(self):
-        cfg = SweepConfig(seed=5, count=2, n_values=(2,), d_b_values=(2,),
-                          relations=(Relation.TWO_PATH_EQUALITY,),
-                          tol_overrides={Relation.TWO_PATH_EQUALITY: 1e-30})
-        rows = run_sweep(cfg)
-        # An impossibly tight tolerance flips rows to failed.
-        assert any(not r.satisfied for r in rows)
-
 
 def _count_calls(monkeypatch, calls, module, name):
     fn = getattr(module, name)
@@ -292,8 +284,7 @@ class TestSharedEvaluation:
         for row in rows:
             _, cell, index = (int(part[1:]) for part in row.scenario_id.split("-"))
             spec = sample_scenario(subseed(cfg.seed, cell, index), row.n, row.d_b)
-            rep = run_relation(Relation(row.relation), spec, restarts=cfg.restarts,
-                               seed=cfg.seed)
+            rep = run_relation(Relation(row.relation), Evaluation(spec, seed=cfg.seed))
             assert (row.lhs, row.rhs, row.slack, row.satisfied, row.certified) == \
                    (rep.lhs, rep.rhs, rep.slack, rep.satisfied, rep.solver_certified)
 
@@ -529,6 +520,28 @@ class TestCli:
         assert res.exit_code == 4
         assert f"internal error: L1_MEMORY: {type(exc).__name__}: {exc}" in res.output
         assert "Traceback" not in res.output
+
+    def test_check_tol_overrides_the_verdict(self, tmp_path):
+        # The N = 2 equality holds to rounding: slack -1.9e-16 on this scenario.
+        p = tmp_path / "n2.json"
+        emit_scenario(sample_scenario(5, 2, 2), p)
+        args = ("check", str(p), "--relation", "TWO_PATH_EQUALITY")
+        res = self.run(*args)
+        assert res.exit_code == 0
+        assert res.output.startswith("TWO_PATH_EQUALITY: PASS")
+        res = self.run(*args, "--tol", "1e-30")
+        assert res.exit_code == 1
+        assert res.output.startswith("TWO_PATH_EQUALITY: FAIL")
+
+    @pytest.mark.parametrize("relation", ["WITNESS_PURITY", "WITNESS_COND_ENT"])
+    def test_witness_is_not_a_relation(self, tmp_path, relation):
+        check = self.run("check", str(write_doc(tmp_path, SCENARIO_DOC)),
+                         "--relation", relation)
+        sweep = self.run("sweep", "--seed", "1", "--count", "1", "--n", "3", "--db", "1",
+                         "--relation", relation, "--out", str(tmp_path / "x.csv"))
+        for res in (check, sweep):
+            assert res.exit_code == 2
+            assert "Invalid value for '--relation'" in res.output
 
     def test_check_value_error_stays_input_error(self, tmp_path, monkeypatch):
         def failing(rel, obj):

@@ -134,12 +134,6 @@ class TestReduceAll:
             red = scenario_reduced(spec)
             assert abs(purity(red.rho_a) - purity(red.rho_ab)) <= 1e-12
 
-    def test_overlap_tables(self):
-        spec = sample_scenario(5, 3, 2)
-        red = scenario_reduced(spec)
-        assert np.max(np.abs(np.diagonal(red.phi_gram) - 1)) <= 1e-9
-        assert np.max(np.abs(np.diagonal(red.u_gram) - 1)) <= 1e-9
-
 
 class TestClosedFormReduced:
     @pytest.mark.parametrize("n", range(2, 9))

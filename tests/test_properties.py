@@ -1,9 +1,18 @@
-"""Property-based checks for the core linear-algebra and coherence layers."""
+"""Property-based checks for the core linear-algebra and coherence layers, and
+for the CLI's refusal of non-finite input."""
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from pathcoh.cli import main
 from pathcoh.coherence import l1_coherence
+from pathcoh.harness import sample_two_particle, to_pairs
 from pathcoh.linalg import Dims, kron, partial_trace, trace_norm
+from pathcoh.sampling import sample_scenario
 
 settings.register_profile("suite", max_examples=50, deadline=None)
 settings.load_profile("suite")
@@ -75,3 +84,50 @@ def test_trace_norm_convexity(seed, d, t):
     mix = t * ha + (1 - t) * hb
     bound = t * trace_norm(ha) + (1 - t) * trace_norm(hb)
     assert trace_norm(mix) <= bound + 1e-10 * max(1.0, bound)
+
+
+# (command, file type, field that receives the non-finite entry)
+NON_FINITE_CASES = [
+    ("check", "scenario", "amplitudes"),
+    ("check", "scenario", "detector"),
+    ("witness", "scenario", "amplitudes"),
+    ("witness", "scenario", "detector"),
+    ("check", "two_particle", "amplitudes"),
+    ("check", "two_particle", "detector_a"),
+    ("check", "two_particle", "detector_b"),
+    ("discriminate", "ensemble", "probs"),
+    ("discriminate", "ensemble", "states"),
+]
+
+
+def _valid_doc(kind, seed, n, d_b):
+    """A file of `kind` that its command accepts."""
+    spec = sample_scenario(seed, n, d_b)
+    if kind == "scenario":
+        return {"type": kind, "amplitudes": to_pairs(spec.amplitudes),
+                "detector": {"vectors": to_pairs(spec.detector_states)}}
+    if kind == "two_particle":
+        tp = sample_two_particle(np.random.default_rng(seed), n)
+        return {"type": kind, "amplitudes": to_pairs(tp.amplitudes),
+                "detector_a": {"vectors": to_pairs(tp.detector_a)},
+                "detector_b": {"vectors": to_pairs(tp.detector_b)}}
+    return {"type": kind, "probs": spec.path_probs.tolist(),
+            "states": to_pairs(spec.detector_states)}
+
+
+@given(st.sampled_from(NON_FINITE_CASES), st.integers(0, 2**32 - 1), st.integers(2, 4),
+       st.integers(1, 3), st.integers(0, 10**6),
+       st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+def test_non_finite_entry_is_an_input_error(case, seed, n, d_b, pos, bad):
+    command, kind, name = case
+    doc = _valid_doc(kind, seed, n, d_b)
+    holder, key = (doc[name], "vectors") if isinstance(doc[name], dict) else (doc, name)
+    values = np.array(holder[key], dtype=float)
+    values.flat[pos % values.size] = bad
+    holder[key] = values.tolist()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(main, [command, str(path)])
+    assert res.exit_code == 2, res.output
+    assert "must be finite" in res.output
