@@ -63,7 +63,6 @@ from .harness import (
     SweepConfig,
     SweepRow,
     emit,
-    parse_rows,
     parse_scenario,
     run_sweep,
     sample_two_particle,

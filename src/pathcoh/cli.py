@@ -41,6 +41,18 @@ def _exit_code(reports) -> int:
     return 0
 
 
+def _fail(code: int, message: str):
+    click.echo(message, err=True)
+    sys.exit(code)
+
+
+def _parse(path):
+    try:
+        return parse_scenario(path)
+    except ScenarioParseError as exc:
+        _fail(2, f"error: {exc}")
+
+
 def _parse_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(",") if x.strip())
@@ -62,29 +74,22 @@ def main():
               help="Override the pass tolerance for every relation.")
 def check(scenario_file, relations, tol):
     """Evaluate duality relations on a scenario file."""
-    try:
-        obj = parse_scenario(scenario_file)
-    except ScenarioParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    obj = _parse(scenario_file)
 
     if isinstance(obj, TwoParticleScenario):
         wanted = [Relation(r) for r in relations] or [Relation.TWO_PARTICLE_SUM]
         if wanted != [Relation.TWO_PARTICLE_SUM]:
-            click.echo("error: two-particle files support only TWO_PARTICLE_SUM", err=True)
-            sys.exit(2)
+            _fail(2, "error: two-particle files support only TWO_PARTICLE_SUM")
     elif isinstance(obj, ScenarioSpec):
         if relations:
             wanted = [Relation(r) for r in relations]
             if Relation.TWO_PARTICLE_SUM in wanted:
-                click.echo("error: TWO_PARTICLE_SUM needs a two-particle file", err=True)
-                sys.exit(2)
+                _fail(2, "error: TWO_PARTICLE_SUM needs a two-particle file")
         else:
             wanted = applicable_relations(DEFAULT_RELATIONS, obj.n, obj.d_b)
         obj = Evaluation(obj)  # the relations share its reduced states and solve
     else:
-        click.echo("error: ensemble files go with the `discriminate` command", err=True)
-        sys.exit(2)
+        _fail(2, "error: ensemble files go with the `discriminate` command")
 
     reports = []
     for rel in wanted:
@@ -94,10 +99,8 @@ def check(scenario_file, relations, tol):
             # A ValueError says the relation does not apply to this input;
             # LinAlgError is a ValueError, but the input was valid.
             if isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError):
-                click.echo(f"error: {rel.value}: {exc}", err=True)
-                sys.exit(2)
-            click.echo(f"internal error: {rel.value}: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(4)
+                _fail(2, f"error: {rel.value}: {exc}")
+            _fail(4, f"internal error: {rel.value}: {type(exc).__name__}: {exc}")
         if tol is not None:
             rep = replace(rep, satisfied=holds(rep.slack, rep.equality, tol))
         reports.append(rep)
@@ -131,14 +134,12 @@ def sweep(seed, count, n_list, db_list, dd, relations, jobs, out_path, fmt):
             relations=tuple(Relation(r) for r in relations) or None,
         )
     except (ValueError, click.BadParameter) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _fail(2, f"error: {exc}")
 
     try:
         rows = run_sweep(config, jobs=jobs)
     except InternalError as exc:
-        click.echo(f"internal error: {exc}", err=True)
-        sys.exit(4)
+        _fail(4, f"internal error: {exc}")
     if out_path is None:
         out_path = default_out_dir() / f"sweep-{seed}.{fmt}"
     emit(rows, fmt, out_path)
@@ -154,14 +155,9 @@ def sweep(seed, count, n_list, db_list, dd, relations, jobs, out_path, fmt):
 @click.argument("ensemble_file", type=click.Path(exists=True, dir_okay=False))
 def discriminate(ensemble_file):
     """Minimum-error discrimination of an ensemble file."""
-    try:
-        ens = parse_scenario(ensemble_file)
-    except ScenarioParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    ens = _parse(ensemble_file)
     if not isinstance(ens, Ensemble):
-        click.echo("error: expected an ensemble file (type = 'ensemble')", err=True)
-        sys.exit(2)
+        _fail(2, "error: expected an ensemble file (type = 'ensemble')")
     res = min_error_solve(ens)
     click.echo(f"p_success = {_fmt(res.p_success)}")
     click.echo(f"pairwise_bound = {_fmt(pairwise_bound(ens))}")
@@ -174,14 +170,9 @@ def discriminate(ensemble_file):
 @click.argument("scenario_file", type=click.Path(exists=True, dir_okay=False))
 def witness(scenario_file):
     """Entanglement witnesses of the particle-memory state."""
-    try:
-        spec = parse_scenario(scenario_file)
-    except ScenarioParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    spec = _parse(scenario_file)
     if not isinstance(spec, ScenarioSpec):
-        click.echo("error: expected a single-particle scenario file", err=True)
-        sys.exit(2)
+        _fail(2, "error: expected a single-particle scenario file")
     rep = witness_report(spec)
     click.echo(f"purity_witness = {_fmt(rep['purity_witness'])}")
     click.echo(f"cond_ent_witness = {_fmt(rep['cond_ent_witness'])}")

@@ -61,6 +61,8 @@ def from_pairs(data, where: str) -> np.ndarray:
         raise ScenarioParseError(f"{where}: not a numeric array: {exc}") from exc
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ScenarioParseError(f"{where}: complex entries must be [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ScenarioParseError(f"{where}: entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -253,8 +255,8 @@ def _eval_task(config: SweepConfig, cell_idx: int, scen_idx: int | range) -> lis
 
     evs = tps = [None] * len(indices)
     if any(r is not Relation.TWO_PARTICLE_SUM for r in relations):
-        evs = [Evaluation(sample_scenario(subseed(config.seed, cell_idx, i), n, d_b,
-                                          config.d_d), seed=config.seed) for i in indices]
+        evs = [Evaluation(sample_scenario(subseed(config.seed, cell_idx, i), n, d_b, config.d_d))
+               for i in indices]
     if Relation.TWO_PARTICLE_SUM in relations:
         tps = [sample_two_particle(subseed(config.seed, cell_idx, i, 1), n, config.d_d)
                for i in indices]
@@ -274,7 +276,7 @@ def _eval_task(config: SweepConfig, cell_idx: int, scen_idx: int | range) -> lis
         t0 = time.perf_counter()
         try:
             found = accessible_info_lower([ev.ensemble for ev in evs],
-                                          [ev.solution.povm for ev in evs], seed=config.seed)
+                                          [ev.solution.povm for ev in evs])
             for ev, acc in zip(evs, found):
                 ev.acc_lower = acc
         except Exception:
@@ -362,16 +364,6 @@ def emit(rows: list[SweepRow], fmt: str, path) -> None:
                 fh.write(json.dumps(asdict(r)) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'jsonl')")
-
-
-def parse_rows(path) -> list[SweepRow]:
-    """Re-load rows emitted as JSON-lines."""
-    rows = []
-    with Path(path).open() as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(SweepRow(**json.loads(line)))
-    return rows
 
 
 def witness_report(spec: ScenarioSpec) -> dict:

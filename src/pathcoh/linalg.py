@@ -54,8 +54,11 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(m: np.ndarray) -> None:
+    """ValueError unless Hermitian; FloatingPointError on NaN or Infinity."""
     dev = float(np.max(np.abs(m - dagger(m))))
-    if dev > HERM_TOL:
+    if not dev <= HERM_TOL:
+        if not np.isfinite(dev):
+            raise FloatingPointError("matrix has non-finite entries")
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {HERM_TOL:.0e})")
 
 

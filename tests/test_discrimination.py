@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pathcoh import discrimination
 from pathcoh.discrimination import (
     CERT_THRESHOLD,
     DiscriminationResult,
@@ -12,8 +13,9 @@ from pathcoh.discrimination import (
     _dual_residual,
     _entropies,
     _hill_climb,
-    _information,
-    _random_rank1_povm,
+    _joint,
+    _mutual,
+    _padded,
     _renormalize,
     accessible_info_lower,
     certificate_gap,
@@ -37,6 +39,12 @@ def random_ensemble(rng, n, d):
     p = rng.dirichlet(np.ones(n))
     states = np.array([haar_state(rng, d) for _ in range(n)])
     return Ensemble(p, states)
+
+
+def random_rank1_povm(rng, d):
+    """Projectors onto the columns of a random unitary."""
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    return Povm(tuple(np.outer(u[:, k], u[:, k].conj()) for k in range(d)))
 
 
 def two_state(p1, overlap):
@@ -467,9 +475,7 @@ class TestInformation:
             rng = np.random.default_rng(400 + s)
             n, d = int(rng.integers(2, 6)), int(rng.integers(1, 5))
             e = random_ensemble(rng, n, d)
-            u = np.linalg.qr(rng.standard_normal((d, d))
-                             + 1j * rng.standard_normal((d, d)))[0]
-            m = Povm(tuple(np.outer(u[:, k], u[:, k].conj()) for k in range(d)))
+            m = random_rank1_povm(rng, d)
             assert mutual_information(e, m) == information_by_loop(e, m)
 
     def test_holevo_values(self):
@@ -482,44 +488,46 @@ class TestInformation:
         for s in range(100):
             rng = np.random.default_rng(s)
             e = random_ensemble(rng, 3, 2)
-            u = np.linalg.qr(rng.standard_normal((2, 2))
-                             + 1j * rng.standard_normal((2, 2)))[0]
-            m = Povm(tuple(np.outer(u[:, k], u[:, k].conj()) for k in range(2))
-                     + (np.zeros((2, 2), dtype=complex),))
+            m = Povm(random_rank1_povm(rng, 2).elements + (np.zeros((2, 2), dtype=complex),))
             assert mutual_information(e, m) <= holevo(e) + 1e-9
+
+
+def ascent_starts(es, povms):
+    """The (ensembles, 2, k, d, d) start stack of `accessible_info_lower`: each
+    min-error POVM and PGM, padded with zero elements to one length."""
+    return np.array([_padded((m, pretty_good_measurement(e))) for e, m in zip(es, povms)])
 
 
 # For the detector ensemble e of sample_scenario(subseed(2024, k), N, d_B,
 # d_D), k the index in this list: float.hex of
-# accessible_info_lower(e, min_error_solve(e).povm, restarts=2, seed=101),
-# then of the best I(D:M) of each of its two ascents. The min-error POVM sets
-# most of the first values, so the second pin the ascent itself. The
-# arithmetic and the random draws must reproduce them bit for bit.
+# accessible_info_lower(e, min_error_solve(e).povm), then of the best I(D:M)
+# of the ascent from the min-error POVM and from the PGM. The arithmetic must
+# reproduce them bit for bit.
 ACCESSIBLE_HEX = [
-    ((2, 1, None), '0x1.37a3addfa5460p-3',
-     ('0x1.2cfde405f3518p-3', '0x1.1eaca07583920p-3')),
-    ((2, 2, None), '0x1.029bbb92e8c80p-2',
-     ('0x1.54f6af34d9328p-3', '0x1.c0ce9b4f16700p-5')),
-    ((3, 1, None), '0x1.96cf48f7e747cp-1',
-     ('0x1.beba6c58d0a08p-2', '0x1.9a936058d77a0p-2')),
-    ((3, 2, None), '0x1.61a3225dd8aacp-1',
-     ('0x1.7c11254541268p-2', '0x1.5faf71abac0f0p-2')),
-    ((4, 1, None), '0x1.24dff3eaafd84p+0',
-     ('0x1.5a26465a5f838p-1', '0x1.ccc9040375a30p-2')),
-    ((4, 2, None), '0x1.17e5ab29bcbb8p+0',
-     ('0x1.4c320ef3a36a0p-2', '0x1.cb646746720e0p-2')),
-    ((5, 1, None), '0x1.cfeae67e20a70p-1',
-     ('0x1.55dd453e61098p-2', '0x1.d1a41f1b475a0p-3')),
-    ((5, 2, None), '0x1.397697842f84cp+0',
-     ('0x1.c53ee34244060p-2', '0x1.c8ef797e1f240p-3')),
-    ((3, 1, 2), '0x1.37c0ea3c238b8p-1',
-     ('0x1.2dce8854cd9b4p-1', '0x1.be629281f0358p-2')),
-    ((4, 2, 2), '0x1.e5646801b8030p-3',
-     ('0x1.710af2f206ca0p-3', '0x1.369f0e2a2daf0p-3')),
-    ((5, 1, 2), '0x1.75abe7b8e74c8p-2',
-     ('0x1.5d26f07dff7e8p-2', '0x1.75abe7b8e74c8p-2')),
-    ((5, 2, 2), '0x1.5c5bf7000c3a8p-1',
-     ('0x1.c124118ef88e0p-2', '0x1.5072978d8d498p-2')),
+    ((2, 1, None), '0x1.37a3addfa5478p-3',
+     ('0x1.37a3addfa5478p-3', '0x1.37a3a4b856560p-3')),
+    ((2, 2, None), '0x1.029bbb92e8c90p-2',
+     ('0x1.029bbb92e8c90p-2', '0x1.029bb025a6ab0p-2')),
+    ((3, 1, None), '0x1.96e7646a77f00p-1',
+     ('0x1.96e7646a77f00p-1', '0x1.95c8f65d4d6d8p-1')),
+    ((3, 2, None), '0x1.633f4bf93ea6cp-1',
+     ('0x1.633f4bf93ea6cp-1', '0x1.633a65ad672c4p-1')),
+    ((4, 1, None), '0x1.2572f5886534ap+0',
+     ('0x1.2572f5886534ap+0', '0x1.2567dc6fb88d0p+0')),
+    ((4, 2, None), '0x1.193b8cafe2186p+0',
+     ('0x1.19295d2674a0cp+0', '0x1.193b8cafe2186p+0')),
+    ((5, 1, None), '0x1.d551a0d11c80cp-1',
+     ('0x1.d507a41e5e004p-1', '0x1.d551a0d11c80cp-1')),
+    ((5, 2, None), '0x1.39e3d53e6b06ep+0',
+     ('0x1.39e3d53e6b06ep+0', '0x1.399416b35bf24p+0')),
+    ((3, 1, 2), '0x1.37defacf252acp-1',
+     ('0x1.37defacf252acp-1', '0x1.37dedea7e92c0p-1')),
+    ((4, 2, 2), '0x1.8edd20b9845b0p-2',
+     ('0x1.7f08a058f7c00p-2', '0x1.8edd20b9845b0p-2')),
+    ((5, 1, 2), '0x1.997dccb206c70p-2',
+     ('0x1.997dccb206c70p-2', '0x1.97de78e33eab8p-2')),
+    ((5, 2, 2), '0x1.6427e0d1a0ae0p-1',
+     ('0x1.6427e0d1a0ae0p-1', '0x1.64264f39579bcp-1')),
 ]
 
 
@@ -528,41 +536,56 @@ class TestAccessibleInfoLower:
     def test_bit_exact(self, k):
         (n, d_b, d_d), expected, _ = ACCESSIBLE_HEX[k]
         e = detector_ensemble(sample_scenario(subseed(2024, k), n, d_b, d_d))
-        value = accessible_info_lower(e, min_error_solve(e).povm, restarts=2, seed=101)
+        value = accessible_info_lower(e, min_error_solve(e).povm)
         assert float.hex(value) == expected
 
     @pytest.mark.parametrize("k", range(len(ACCESSIBLE_HEX)))
     def test_ascent_bit_exact(self, k):
         (n, d_b, d_d), _, expected = ACCESSIBLE_HEX[k]
         e = detector_ensemble(sample_scenario(subseed(2024, k), n, d_b, d_d))
-        rngs = [subseed(101, r) for r in range(2)]
-        starts = [_random_rank1_povm(rng, e.dim) for rng in rngs]
-        assert tuple(float.hex(v) for v in _hill_climb([e], starts, rngs)[0]) == expected
+        climbed = _hill_climb([e], ascent_starts([e], [min_error_solve(e).povm]))[0]
+        assert tuple(float.hex(v) for v in climbed) == expected
 
     def test_orthonormal(self):
         e = Ensemble(np.full(2, 0.5), np.eye(2, dtype=complex))
         m = min_error_solve(e).povm
-        assert accessible_info_lower(e, m, restarts=0) == pytest.approx(1.0, abs=1e-8)
+        assert accessible_info_lower(e, m) == pytest.approx(1.0, abs=1e-8)
 
     def test_identical_states(self):
         e = Ensemble(np.full(2, 0.5), np.array([[1, 0], [1, 0]], dtype=complex))
         m = min_error_solve(e).povm
-        assert accessible_info_lower(e, m, restarts=1) == pytest.approx(0.0, abs=1e-8)
+        assert accessible_info_lower(e, m) == pytest.approx(0.0, abs=1e-8)
 
-    def test_bracket_and_restart_monotonicity(self):
+    def test_bracket_and_start_dominance(self):
         for s in range(5):
             rng = np.random.default_rng(s)
             e = random_ensemble(rng, 3, 2)
             m = min_error_solve(e).povm
-            lo0 = accessible_info_lower(e, m, restarts=0, seed=7)
-            lo2 = accessible_info_lower(e, m, restarts=2, seed=7)
-            assert lo0 <= lo2 + 1e-12
-            assert -1e-10 <= lo2 <= holevo(e) + 1e-9
+            lo = accessible_info_lower(e, m)
+            starts = max(mutual_information(e, m),
+                         mutual_information(e, pretty_good_measurement(e)))
+            assert starts <= lo <= holevo(e) + 1e-9
 
+    def test_ascent_raises_the_starts(self):
+        # On every pinned ensemble with N >= 3 neither start is extremal; at
+        # N = 2 the min-error POVM already is, to rounding.
+        for k, ((n, d_b, d_d), expected, _) in enumerate(ACCESSIBLE_HEX):
+            if n == 2:
+                continue
+            e = detector_ensemble(sample_scenario(subseed(2024, k), n, d_b, d_d))
+            m = min_error_solve(e).povm
+            starts = max(mutual_information(e, m),
+                         mutual_information(e, pretty_good_measurement(e)))
+            assert float.fromhex(expected) > starts + 1e-4, k
 
-def _restart_streams(seed, restarts, dim):
-    rngs = [subseed(seed, r) for r in range(restarts)]
-    return [_random_rank1_povm(rng, dim) for rng in rngs], rngs
+    def test_null_space_completion_pads_the_min_error_povm(self):
+        # d_D = 3 > N = 2: the PGM carries a completion element, so the
+        # min-error POVM climbs with a zero third element, which stays zero.
+        e = detector_ensemble(sample_scenario(subseed(2024, 40), 2, 1, 3))
+        m = min_error_solve(e).povm
+        assert len(m.elements) == 2 and len(pretty_good_measurement(e).elements) == 3
+        lo = accessible_info_lower(e, m)
+        assert mutual_information(e, m) <= lo <= holevo(e) + 1e-9
 
 
 class TestBlockAscent:
@@ -573,33 +596,47 @@ class TestBlockAscent:
         ens = [detector_ensemble(sample_scenario(subseed(31, n, d_d, i), n, 1 + i % 2, d_d))
                for i in range(3)]
         povms = [min_error_solve(e).povm for e in ens]
-        block = accessible_info_lower(ens, povms, restarts=2, seed=101)
-        alone = [accessible_info_lower(e, m, restarts=2, seed=101) for e, m in zip(ens, povms)]
+        block = accessible_info_lower(ens, povms)
+        alone = [accessible_info_lower(e, m) for e, m in zip(ens, povms)]
         assert [float.hex(v) for v in block] == [float.hex(v) for v in alone]
-        climbed = _hill_climb(ens, *_restart_streams(101, 2, d_d))
-        for e, row in zip(ens, climbed):
-            want = _hill_climb([e], *_restart_streams(101, 2, d_d))[0]
+        climbed = _hill_climb(ens, ascent_starts(ens, povms))
+        for e, m, row in zip(ens, povms, climbed):
+            want = _hill_climb([e], ascent_starts([e], [m]))[0]
             assert [float.hex(v) for v in row] == [float.hex(v) for v in want]
 
-    def test_members_accept_at_different_steps(self):
-        ens = [detector_ensemble(sample_scenario(subseed(2024, k), 4, 1)) for k in (4, 5, 6)]
+    def test_members_with_different_outcome_counts(self):
+        # Two equal states leave rho_D rank 2 < d_D = 3, so that member's PGM
+        # has four elements and the others' three; each still climbs as alone.
+        ens = [detector_ensemble(sample_scenario(subseed(32, i), 3, 1)) for i in range(3)]
+        phi = ens[1].states.copy()
+        phi[2] = phi[1]
+        ens[1] = Ensemble(ens[1].probs, phi)
+        povms = [min_error_solve(e).povm for e in ens]
+        assert [len(pretty_good_measurement(e).elements) for e in ens] == [3, 4, 3]
+        block = accessible_info_lower(ens, povms)
+        assert block == [accessible_info_lower(e, m) for e, m in zip(ens, povms)]
 
-        def accepted(block, steps):
-            return _hill_climb(block, *_restart_streams(101, 2, 4), steps=steps)
+    def test_members_accept_at_different_steps(self, monkeypatch):
+        ens = [detector_ensemble(sample_scenario(subseed(2024, k), 4, 1)) for k in (4, 5, 6)]
+        starts = ascent_starts(ens, [min_error_solve(e).povm for e in ens])
+
+        def accepted(block, stack, steps):
+            monkeypatch.setattr(discrimination, "ACC_STEPS", steps)
+            return _hill_climb(block, stack)
 
         # A start's best rises after step t exactly when step t accepts.
-        trail = np.array([accepted(ens, t) for t in range(13)])  # (steps, block, restarts)
+        trail = np.array([accepted(ens, starts, t) for t in range(13)])  # (steps, block, 2)
         accepts = trail[1:] > trail[:-1]
         assert len({accepts[:, b].tobytes() for b in range(len(ens))}) == len(ens)
         assert accepts.any() and not accepts.all()
         for b, e in enumerate(ens):
-            assert np.array_equal(trail[:, b], np.array([accepted([e], t)[0] for t in range(13)]))
+            alone = [accepted([e], starts[b:b + 1], t)[0] for t in range(13)]
+            assert np.array_equal(trail[:, b], np.array(alone))
 
     def test_block_of_one(self):
         e = detector_ensemble(sample_scenario(subseed(2024, 7), 5, 2))
         m = min_error_solve(e).povm
-        assert accessible_info_lower([e], [m], restarts=2, seed=101) == \
-            [float.fromhex(ACCESSIBLE_HEX[7][1])]
+        assert accessible_info_lower([e], [m]) == [float.fromhex(ACCESSIBLE_HEX[7][1])]
 
 
 class TestStackedChecks:
@@ -619,11 +656,11 @@ class TestStackedChecks:
     def test_information_of_a_stack_matches_one_at_a_time(self):
         rng = np.random.default_rng(9)
         ens = [random_ensemble(rng, 4, 3) for _ in range(3)]
-        povms = [_random_rank1_povm(rng, 3) for _ in range(2)]
+        povms = [random_rank1_povm(rng, 3) for _ in range(2)]
         probs = np.array([e.probs for e in ens])[:, None]
         states = np.array([e.states for e in ens])[:, None]
         stack = np.array([[m.elements for m in povms]] * 3)
-        got = _information(probs, states, stack)
+        got = _mutual(_joint(probs, states, stack))
         assert got.shape == (3, 2)
         for b, e in enumerate(ens):
             for r, m in enumerate(povms):

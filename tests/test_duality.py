@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,17 @@ class TestEntropic:
                 assert rep0.satisfied
                 assert rep0.rhs == pytest.approx(rep.rhs, abs=1e-9)
 
+    def test_impure_abd_build_is_an_internal_error(self):
+        # S(D) = S(AB) holds for every pure ABD state; a rho_D from another
+        # state must fail the check, whatever the relation's verdict.
+        spec = sample_scenario(3, 3, 2)
+        ev = Evaluation(spec)
+        red = ev.reduced
+        ev.reduced = replace(red, rho_d=np.eye(3, dtype=complex) / 3)
+        with pytest.raises(AssertionError, match="the ABD state is not pure"):
+            check_entropic_memory(ev)
+        assert check_entropic_memory(spec).satisfied
+
     def test_two_path_conditional_entropy_nonpositive(self):
         for s in range(100):
             rep = check_entropic_memory(sample_scenario(s, 2, 1 + s % 3))
@@ -164,14 +177,14 @@ class TestAccessible:
     def test_orthonormal_detectors(self):
         amps = np.array([[1], [1]], dtype=complex) / np.sqrt(2)
         spec = ScenarioSpec(amps, np.eye(2, dtype=complex))
-        rep = check_accessible_relation(Evaluation(spec, seed=0))
+        rep = check_accessible_relation(spec)
         assert rep.components["Acc_lower"] == pytest.approx(1.0, abs=1e-8)
         assert rep.satisfied
 
     def test_random_scenarios_satisfied_via_holevo(self):
         for s in range(20):
             spec = sample_scenario(s, 2 + s % 3, 1 + s % 3)
-            rep = check_accessible_relation(Evaluation(spec, seed=s))
+            rep = check_accessible_relation(spec)
             assert rep.satisfied, (s, rep.slack)
             assert rep.components["holevo_dominance"] == 1.0
             assert rep.components["Acc_lower"] <= rep.components["holevo"] + 1e-9

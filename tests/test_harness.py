@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import time
@@ -15,11 +16,12 @@ from pathcoh.harness import (
     CSV_HEADER,
     DEFAULT_RELATIONS,
     ScenarioParseError,
+    _fmt,
     SweepConfig,
+    SweepRow,
     applicable_relations,
     emit,
     emit_scenario,
-    parse_rows,
     parse_scenario,
     run_relation,
     run_sweep,
@@ -58,6 +60,12 @@ class TestParseScenario:
         assert isinstance(spec, ScenarioSpec)
         assert spec.n == 2 and spec.d_b == 1
         assert np.allclose(spec.path_probs, [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_pair_refused_before_complex_build(self, bad):
+        # An infinite imaginary part would become nan+infj with a warning.
+        with pytest.raises(ScenarioParseError, match="amplitudes: entries must be finite"):
+            harness.from_pairs([[0.5, 0.0], [0.0, bad]], "amplitudes")
 
     def test_gram_detector(self, tmp_path):
         doc = {
@@ -284,9 +292,25 @@ class TestSharedEvaluation:
         for row in rows:
             _, cell, index = (int(part[1:]) for part in row.scenario_id.split("-"))
             spec = sample_scenario(subseed(cfg.seed, cell, index), row.n, row.d_b)
-            rep = run_relation(Relation(row.relation), Evaluation(spec, seed=cfg.seed))
+            rep = run_relation(Relation(row.relation), Evaluation(spec))
             assert (row.lhs, row.rhs, row.slack, row.satisfied, row.certified) == \
                    (rep.lhs, rep.rhs, rep.slack, rep.satisfied, rep.solver_certified)
+
+    def test_accessible_row_of_sweep_equals_check(self, tmp_path):
+        # The search draws nothing at random, so a sweep's ACCESSIBLE row is
+        # the one `pathcoh check` prints for the scenario written to a file.
+        cfg = SweepConfig(seed=5, count=3, n_values=(3, 4), d_b_values=(1, 2), d_d=2,
+                          relations=(Relation.ACCESSIBLE,))
+        for row in run_sweep(cfg):
+            _, cell, index = (int(part[1:]) for part in row.scenario_id.split("-"))
+            path = tmp_path / f"{row.scenario_id}.json"
+            emit_scenario(sample_scenario(subseed(cfg.seed, cell, index), row.n, row.d_b, 2),
+                          path)
+            res = CliRunner().invoke(main, ["check", str(path), "--relation", "ACCESSIBLE"])
+            assert res.exit_code == 0, res.output
+            assert res.output.splitlines()[0] == (
+                f"ACCESSIBLE: PASS  lhs={_fmt(row.lhs)} rhs={_fmt(row.rhs)} "
+                f"slack={_fmt(row.slack)}"), row.scenario_id
 
 
 class TestBlockSweep:
@@ -383,11 +407,11 @@ class TestBlockSweep:
 # SHA-256 of reference sweep CSVs; rows must not move unless a change says so.
 REFERENCE_CSVS = [
     (["--seed", "101", "--count", "8", "--n", "2,3,4,5", "--db", "1,2"],
-     "e6193dcf843eb9bc453a012b64cc54bfc935126772b8d72157c3a9d7274b41df"),
+     "0dc249a1a98b352e21868f2dc7d895515e321b74bbb8a6e868fcd993c081d8b5"),
     (["--seed", "7", "--count", "4", "--n", "2,3,4,5", "--db", "3,4"],
-     "97e2c170c63cb79109511609824401f7964107fb89165c2522c6d375ddb9bf71"),
+     "f88752696f504423555fbf94fe9a0d81515e085e1d1b883a893792ce333a4c1e"),
     (["--seed", "5", "--count", "3", "--n", "3,4", "--db", "1,2", "--dd", "2"],
-     "2bf96599750108833bffcb3a444f9f9d9a2efeeff11f065ac6ee559b42578f93"),
+     "a2f4f6d5bb62f1a5de180e7a45b6c3bc407968d3a0d132463c3ae178d396d86e"),
     (["--seed", "101", "--count", "41", "--n", "2,3,4,5", "--db", "1,2,3,4",
       "--relation", "L1_MEMORY"],
      "44bddb0612cc23fe7c0fe9f4ca70682f078ae689aa840e9fdb674bdee5b1765d"),
@@ -444,7 +468,7 @@ class TestEmit:
         rows = run_sweep(cfg)
         p = tmp_path / "out.jsonl"
         emit(rows, "jsonl", p)
-        assert parse_rows(p) == rows
+        assert [SweepRow(**json.loads(line)) for line in p.read_text().splitlines()] == rows
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
@@ -520,6 +544,22 @@ class TestCli:
         assert res.exit_code == 4
         assert f"internal error: L1_MEMORY: {type(exc).__name__}: {exc}" in res.output
         assert "Traceback" not in res.output
+
+    def test_check_nan_made_inside_a_computation_exits_4(self, tmp_path, monkeypatch):
+        # A NaN that no input carried in (here in rho_AB) is an internal error,
+        # not a plausible entropy.
+        reduced = duality.scenario_reduced
+
+        def nan_rho_ab(spec):
+            red = reduced(spec)
+            return dataclasses.replace(red, rho_ab=np.full_like(red.rho_ab, np.nan))
+
+        monkeypatch.setattr(duality, "scenario_reduced", nan_rho_ab)
+        res = self.run("check", str(write_doc(tmp_path, SCENARIO_DOC)),
+                       "--relation", "ENTROPIC_MEMORY")
+        assert res.exit_code == 4
+        assert res.output == ("internal error: ENTROPIC_MEMORY: FloatingPointError: "
+                              "matrix has non-finite entries\n")
 
     def test_check_tol_overrides_the_verdict(self, tmp_path):
         # The N = 2 equality holds to rounding: slack -1.9e-16 on this scenario.
@@ -640,12 +680,12 @@ class TestCli:
             check(stack)
             raise ValueError("element 0 is not PSD: min eigenvalue -1.000e+00")
 
-        def climb_with_target_rejected(ensembles, starts, rngs, steps=40):
+        def climb_with_target_rejected(ensembles, starts):
             sizes.append(len(ensembles))
             if any(np.array_equal(e.states, target.states) for e in ensembles):
                 monkeypatch.setattr(discrimination, "_check_povms", rejecting)
             try:
-                return climb(ensembles, starts, rngs, steps)
+                return climb(ensembles, starts)
             finally:
                 monkeypatch.setattr(discrimination, "_check_povms", check)
 

@@ -164,6 +164,17 @@ class TestEigh:
         with pytest.raises(ValueError):
             eigh(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_is_not_an_input_error(self, bad):
+        # NaN passes `dev > HERM_TOL`; it must raise, and not as a ValueError,
+        # which the CLI reads as bad input.
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            eigh(m)
+        with pytest.raises(FloatingPointError):
+            von_neumann_entropy(np.full((2, 2), np.nan))
+
 
 class TestTraceNorm:
     def test_diagonal(self):
