@@ -1,10 +1,11 @@
 """Minimum-error discrimination of pure-state ensembles and path information.
 
 Covers the closed-form two-state optimum, the pairwise trace-norm upper
-bound, the pretty good measurement, an optimal-POVM solver by a log barrier
-on the dual program with a dual optimality certificate, and the information
-quantities I(D:M), the Holevo bound and a lower bound on accessible
-information by a deterministic ascent from the min-error POVM and the PGM.
+bound, the pretty good measurement, an optimal-POVM solver by a primal-dual
+interior-point method on stacks of ensembles with a dual optimality
+certificate, and the information quantities I(D:M), the Holevo bound and a
+lower bound on accessible information by a deterministic ascent from the
+min-error POVM and the PGM.
 """
 from __future__ import annotations
 
@@ -19,8 +20,10 @@ COMPLETE_TOL = 1e-9
 # on the optimal success probability, from a dual-feasible operator, minus
 # the P_s it reports -- is at most this.
 CERT_THRESHOLD = 1e-7
-# Central-path gap at which the min-error solve stops.
+# Duality gap at which the min-error solve stops, and the iterations after
+# which it stops anyway (its result is then uncertified).
 SOLVER_TOL = 1e-10
+SOLVER_MAX_ITER = 100
 # Steps of the accessible-information ascent, and its initial step size.
 ACC_STEPS = 10
 ACC_EPS = 0.5
@@ -98,6 +101,15 @@ class Povm:
         return self.elements[0].shape[0]
 
 
+def _povms(stack: np.ndarray) -> list[Povm]:
+    """A Povm of each collection of a (B, k, d, d) stack, checked in one pass."""
+    _check_povms(stack)
+    povms = [object.__new__(Povm) for _ in stack]
+    for m, elements in zip(povms, stack):
+        object.__setattr__(m, "elements", tuple(elements))
+    return povms
+
+
 @dataclass(frozen=True)
 class DiscriminationResult:
     """Success probability `p_success` attained by `povm`, with its certificate.
@@ -105,8 +117,7 @@ class DiscriminationResult:
     `certificate_gap` is an upper bound on the optimal success probability
     minus `p_success`, so the optimum lies in
     [p_success, p_success + certificate_gap]. `iterations` counts the
-    Newton steps of the dual barrier, over all its stages (0 for the closed
-    form).
+    primal-dual iterations (0 for the closed form).
     """
 
     p_success: float
@@ -130,16 +141,13 @@ def success_probability(e: Ensemble, m: Povm) -> float:
         for i in range(e.n)))
 
 
-def _dual_residual(e: Ensemble, rhos: np.ndarray, y: np.ndarray) -> float:
-    """Largest negative-eigenvalue magnitude of Y - p_i rho_i over all i,
-    with rhos = e.projectors().
-
-    Any Hermitian Y with Y >= p_i rho_i for all i bounds the optimal success
-    probability by Tr Y; a residual g makes Y + g*I such an operator, so the
-    optimum is at most Tr Y + d*g.
-    """
-    low = np.linalg.eigvalsh(y - e.probs[:, None, None] * rhos).min()
-    return max(0.0, -float(low))
+def _dual_residual(weighted: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Largest negative-eigenvalue magnitude g of Y - p_i rho_i over all i, for
+    weighted = p_i rho_i (..., n, d, d) and Y (..., d, d). Any Hermitian Y with
+    Y >= p_i rho_i bounds the optimal success probability by Tr Y; Y + g*I is
+    such an operator, so the optimum is at most Tr Y + d*g."""
+    low = np.linalg.eigvalsh(y[..., None, :, :] - weighted).min(axis=(-2, -1))
+    return np.maximum(0.0, -low)
 
 
 def certificate_gap(e: Ensemble, m: Povm) -> float:
@@ -153,7 +161,7 @@ def certificate_gap(e: Ensemble, m: Povm) -> float:
     y = np.zeros((e.dim, e.dim), dtype=complex)
     for j in range(e.n):
         y += e.probs[j] * (rhos[j] @ m.elements[j])
-    return _dual_residual(e, rhos, (y + dagger(y)) / 2)
+    return float(_dual_residual(e.probs[:, None, None] * rhos, (y + dagger(y)) / 2))
 
 
 def _herm_power(m: np.ndarray, power: float) -> tuple[np.ndarray, np.ndarray]:
@@ -198,24 +206,36 @@ def pairwise_bound(e: Ensemble) -> float:
 
     1/N + (1/2N) sum_{i,j} ||T_ij||_1 with T_ij = p_i rho_i - p_j rho_j.
     """
-    rhos = e.projectors()
-    n = e.n
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                total += trace_norm(e.probs[i] * rhos[i] - e.probs[j] * rhos[j])
+    rhos, n = e.projectors(), e.n
+    total = sum(trace_norm(e.probs[i] * rhos[i] - e.probs[j] * rhos[j])
+                for i in range(n) for j in range(n) if i != j)
     return 1.0 / n + total / (2.0 * n)
 
 
-def _square_root_measurement(e: Ensemble,
-                             weights: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def _square_root_measurement(states: np.ndarray,
+                             weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Elements S^{-1/2} w_i |phi_i><phi_i| S^{-1/2} with
-    S = sum_i w_i |phi_i><phi_i|, and the projector onto the null space of S."""
-    s = np.einsum("i,ij,ik->jk", weights, e.states, e.states.conj())
-    inv_root, null = _herm_power(s, -0.5)
-    elements = [w * (inv_root @ r @ inv_root) for w, r in zip(weights, e.projectors())]
-    return elements, null
+    S = sum_i w_i |phi_i><phi_i|, and the projector onto the null space of S,
+    for states (..., n, d) and weights (..., n)."""
+    kets = states.swapaxes(-1, -2)
+    inv_root, null = _herm_power((kets * weights[..., None, :]) @ dagger(kets), -0.5)
+    v = (inv_root @ kets).swapaxes(-1, -2)  # the rows S^{-1/2} |phi_i>
+    return weights[..., None, None] * (v[..., :, None] * v.conj()[..., None, :]), null
+
+
+def _pgms(ensembles: list[Ensemble]) -> list[Povm]:
+    """`pretty_good_measurement` of each ensemble of a list of one shape, with
+    the square-root measurements built on one stack."""
+    probs, states = _stacked(ensembles)
+    povms = []
+    for elements, null in zip(*_square_root_measurement(states, probs)):
+        if np.max(np.abs(null)) > 1e-9:
+            elements = np.concatenate((elements, null[None]))
+        try:
+            povms.append(Povm(tuple(elements)))
+        except ValueError:
+            povms.append(Povm(tuple(_renormalize(elements))))
+    return povms
 
 
 def pretty_good_measurement(e: Ensemble) -> Povm:
@@ -227,168 +247,146 @@ def pretty_good_measurement(e: Ensemble) -> Povm:
     rounding until the elements are no longer PSD or complete; `_renormalize`
     then restores both.
     """
-    elements, null = _square_root_measurement(e, e.probs)
-    if np.max(np.abs(null)) > 1e-9:
-        elements.append(null)
-    try:
-        return Povm(tuple(elements))
-    except ValueError:
-        return Povm(tuple(_renormalize(np.array(elements))))
-
-
-def _project_psd(m: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix to Hermitian m, or to each in a stack (negative
-    eigenvalues clipped to 0)."""
-    w, v = eigh(m)
-    return (v * np.clip(w, 0.0, None)[..., None, :]) @ dagger(v)
+    return _pgms([e])[0]
 
 
 def _renormalize(elements: np.ndarray) -> np.ndarray:
-    """Project each element of a (..., k, d, d) stack onto the PSD cone, then
-    conjugate by (sum Pi)^{-1/2} so each collection of k sums to identity again."""
-    elements = _project_psd((elements + dagger(elements)) / 2)
+    """Project each element of a (..., k, d, d) stack onto the PSD cone (its
+    nearest PSD matrix), then conjugate by (sum Pi)^{-1/2} so each collection
+    of k sums to identity again."""
+    w, v = eigh((elements + dagger(elements)) / 2)
+    elements = (v * np.clip(w, 0.0, None)[..., None, :]) @ dagger(v)
     inv_root, null = _herm_power(elements.sum(axis=-3), -0.5)
     inv_root = inv_root[..., None, :, :]
     m = inv_root @ elements @ inv_root + null[..., None, :, :] / elements.shape[-3]
     return (m + dagger(m)) / 2
 
 
-def _barrier_solve(e: Ensemble, tol: float) -> tuple[Povm, np.ndarray, int]:
-    """Solve the dual program min Tr Y s.t. Y >= p_i rho_i by a log barrier.
+def _stacked(ensembles: list[Ensemble]) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities (B, n) and states (B, n, d) of a list of one shape."""
+    return np.array([e.probs for e in ensembles]), np.array([e.states for e in ensembles])
 
-    Follows the central path of t Tr Y - sum_i log det(Y - p_i rho_i) with
-    damped Newton steps over Hermitian Y (Vandenberghe & Boyd, SIAM Rev. 38,
-    49 (1996)), raising t thirtyfold per stage until the central-path gap
-    n*d/t reaches `tol`. On the central path Pi_i = (Y - p_i rho_i)^{-1} / t
-    sum to identity and are optimal up to that gap (Eldar, Megretski &
-    Verghese, IEEE Trans. IT 49, 1007 (2003)); they are renormalized into a
-    POVM. Returns the POVM, the dual operator Y and the Newton steps taken.
+
+def _cholesky(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of a (2, B, n, d, d) stack, and a (B,) mask of the
+    members whose matrices all have one. Near the optimum of a degenerate
+    program (zero probabilities, or fewer states than dimensions) rounding
+    can leave an iterate without one; that member's factors are zero."""
+    try:
+        return np.linalg.cholesky(pairs), np.ones(pairs.shape[1], dtype=bool)
+    except np.linalg.LinAlgError:
+        if pairs.shape[1] == 1:
+            return np.zeros_like(pairs), np.zeros(1, dtype=bool)
+    parts = [_cholesky(pairs[:, j:j + 1]) for j in range(pairs.shape[1])]
+    return np.concatenate([c for c, _ in parts], axis=1), np.concatenate([f for _, f in parts])
+
+
+def _primal_dual(probs: np.ndarray,
+                 weighted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the min-error program of each ensemble of a stack (probabilities
+    (B, n), weighted = p_i rho_i (B, n, d, d)) in lockstep.
+
+    Dual: min Tr Y s.t. Z_i = Y - p_i rho_i >= 0. Primal: max
+    sum_i p_i <phi_i|Pi_i|phi_i> s.t. sum_i Pi_i = 1, Pi_i >= 0. Their gap is
+    sum_i Tr Z_i Pi_i = n d mu. From the strictly feasible Y = 2 p_max 1,
+    Pi_i = 1/n, each iteration takes the HKM direction (Helmberg, Rendl,
+    Vanderbei & Wolkowicz, SIAM J. Optim. 6, 342 (1996)) towards
+    Z_i Pi_i = 0.1 mu 1, and each side moves 0.98 of its largest feasible
+    step, at most 1. A member leaves with its iterate at a gap <= SOLVER_TOL,
+    after SOLVER_MAX_ITER iterations, or without a Cholesky factor. Each
+    result is bitwise that of a stack of one. Returns the renormalized POVM
+    elements (B, n, d, d), Y (B, d, d) and the iteration counts.
     """
-    n, d = e.n, e.dim
-    weighted = np.einsum("i,ij,ik->ijk", e.probs, e.states, e.states.conj())
+    b, n, d = weighted.shape[:3]
     eye = np.eye(d)
-    y = 2.0 * float(e.probs.max()) * eye  # strictly feasible start
-    # Double precision cannot resolve a central-path gap much below 1e-12.
-    t_final = n * d / max(tol, 1e-12)
-    t = 1.0
-    steps = 0
-    while True:
-        for _ in range(50):  # Newton steps per stage; centering takes ~10
-            inv = np.linalg.inv(y - weighted)
-            grad = t * eye - inv.sum(axis=0)
-            # Hessian Delta -> sum_i Z_i^-1 Delta Z_i^-1 on row-major vec(Delta).
-            hess = np.einsum("iab,idc->acbd", inv, inv).reshape(d * d, d * d)
-            step = np.linalg.solve(hess, -grad.reshape(-1)).reshape(d, d)
-            step = (step + dagger(step)) / 2
-            decrement = -float(np.vdot(grad, step).real)
-            if decrement <= 2e-9:  # lambda^2 / 2 <= 1e-9: centered
-                break
-            # A damped step stays inside the barrier's domain (self-concordance).
-            lam = np.sqrt(decrement)
-            y = y + (step if lam < 0.25 else step / (1.0 + lam))
-            steps += 1
-        if t >= t_final:
-            break
-        t = min(30.0 * t, t_final)
-    inv = np.linalg.inv(y - weighted)
-    return Povm(tuple(_renormalize(inv / t))), y, steps
-
-
-def _barrier_solve_stack(ensembles: list[Ensemble],
-                         tol: float) -> list[tuple[Povm, np.ndarray, int]]:
-    """`_barrier_solve` of each ensemble of a list of one shape, in lockstep.
-
-    Each Newton step is one stacked call per operation over the ensembles
-    still running. Every ensemble keeps its own t, its own count of steps in
-    the current stage and its own step total, and leaves the stack when its
-    last stage is centred, so each result is bitwise that of `_barrier_solve`.
-    """
-    n, d = ensembles[0].n, ensembles[0].dim
-    k = len(ensembles)
-    weighted_all = np.array([np.einsum("i,ij,ik->ijk", e.probs, e.states, e.states.conj())
-                             for e in ensembles])
-    eye = np.eye(d)
-    y = np.array([2.0 * float(e.probs.max()) * eye for e in ensembles], dtype=complex)
-    t_final = n * d / max(tol, 1e-12)
-    y_out, t_out, steps_out = np.empty_like(y), np.empty(k), np.empty(k, dtype=int)
-    # State of the ensembles still running, which `live` indexes.
-    live, weighted = np.arange(k), weighted_all
-    t, stage, steps = np.ones(k), np.zeros(k, dtype=int), np.zeros(k, dtype=int)
-    while live.size:
-        inv = np.linalg.inv(y[:, None] - weighted)
-        grad = t[:, None, None] * eye - inv.sum(axis=1)
-        hess = np.einsum("kiab,kidc->kacbd", inv, inv).reshape(-1, d * d, d * d)
-        step = np.linalg.solve(hess, -grad.reshape(-1, d * d, 1)).reshape(-1, d, d)
-        step = (step + dagger(step)) / 2
-        # Bitwise np.vdot per ensemble; einsum or sum orders differ.
-        decrement = -(grad.conj().reshape(-1, 1, d * d)
-                      @ step.reshape(-1, d * d, 1)).real[:, 0, 0]
-        centered = decrement <= 2e-9
-        move = ~centered
-        lam = np.sqrt(decrement[move])
-        # Division by exactly 1.0 leaves an undamped step bitwise unchanged.
-        y[move] = y[move] + step[move] / np.where(lam < 0.25, 1.0, 1.0 + lam)[:, None, None]
-        steps[move] += 1
-        stage[move] += 1
-        stage_end = centered | (stage == 50)
-        done = stage_end & (t >= t_final)
-        advance = stage_end & ~done
-        t[advance] = np.minimum(30.0 * t[advance], t_final)
-        stage[stage_end] = 0
+    y = 2.0 * probs.max(axis=-1)[:, None, None] * eye + 0j
+    # Z_i and Pi_i of the members still running, which `live` indexes.
+    zp = np.empty((2, b, n, d, d), dtype=complex)
+    zp[1] = eye / n
+    y_out, pi_out, iterations = np.empty_like(y), np.empty_like(zp[1]), np.empty(b, dtype=int)
+    live = np.arange(b)
+    for it in range(SOLVER_MAX_ITER + 1):
+        z, pi = zp
+        np.subtract(y[:, None], weighted, out=z)
+        gap = (z.conj() * pi).real.reshape(live.size, -1).sum(axis=-1)
+        chol, factored = _cholesky(zp)
+        done = (gap <= SOLVER_TOL) | (it == SOLVER_MAX_ITER) | ~factored
         if done.any():
             ids = live[done]
-            y_out[ids], t_out[ids], steps_out[ids] = y[done], t[done], steps[done]
+            y_out[ids], pi_out[ids], iterations[ids] = y[done], pi[done], it
             keep = ~done
-            live, weighted, y, t, stage, steps = (
-                a[keep] for a in (live, weighted, y, t, stage, steps))
-    inv = np.linalg.inv(y_out[:, None] - weighted_all)
-    elements = _renormalize(inv / t_out[:, None, None, None])
-    return [(Povm(tuple(els)), y_out[j], int(steps_out[j])) for j, els in enumerate(elements)]
+            live, weighted, y, gap = (a[keep] for a in (live, weighted, y, gap))
+            zp, chol = zp[:, keep], chol[:, keep]
+            pi = zp[1]
+            if not live.size:
+                break
+        inv_chol = np.linalg.inv(chol)
+        z_inv = dagger(inv_chol[0]) @ inv_chol[0]
+        target = (gap * (0.1 / (n * d)))[:, None, None, None] * z_inv  # sigma mu Z_i^-1
+        # Twice the Schur matrix of dY -> sum_i herm(Z_i^-1 dY Pi_i) on
+        # row-major vec(dY): K = sum_i Z_i^-1 (x) Pi_i^T, one matrix product
+        # over i, plus its index-swapped transpose.
+        k = (z_inv.reshape(-1, n, d * d).swapaxes(-1, -2)
+             @ pi.swapaxes(-1, -2).reshape(-1, n, d * d)).reshape(-1, d, d, d, d)
+        k = k.transpose(0, 1, 3, 2, 4)
+        schur = (k + k.transpose(0, 4, 3, 2, 1)).reshape(-1, d * d, d * d)
+        dy = np.linalg.solve(schur, 2 * (target.sum(axis=1) - eye).reshape(-1, d * d, 1))
+        dy = dy.reshape(-1, 1, d, d)
+        dy = (dy + dagger(dy)) / 2
+        dpi = target - pi - z_inv @ dy @ pi
+        # The lowest eigenvalue of L^-1 D L^-H bounds the step along D, for
+        # D = dY on Z_i = L L^H and D = dPi_i on Pi_i.
+        moves = np.empty_like(zp)
+        moves[0] = dy
+        moves[1] = (dpi + dagger(dpi)) / 2
+        low = np.linalg.eigvalsh(inv_chol @ moves @ dagger(inv_chol)).min(axis=(-2, -1))
+        step = 1.0 / np.maximum(1.0, low / -0.98)
+        y = y + step[0, :, None, None] * dy[:, 0]
+        pi += step[1, :, None, None, None] * moves[1]
+    return _renormalize(pi_out), y_out, iterations
 
 
-def _certified(e: Ensemble, povm: Povm, y: np.ndarray, steps: int) -> DiscriminationResult:
-    """The barrier's POVM polished by one square-root step, with its gap."""
-    p_success = success_probability(e, povm)
-    weights = np.array([p * (s.conj() @ el @ s).real
-                        for p, s, el in zip(e.probs**2, e.states, povm.elements)])
-    elements, null = _square_root_measurement(e, weights)
-    polished = Povm(tuple(_renormalize(np.array(elements) + null / e.n)))
-    polished_p = success_probability(e, polished)
-    if polished_p > p_success:
-        povm, p_success = polished, polished_p
-    upper = float(np.trace(y).real) + e.dim * _dual_residual(e, e.projectors(), y)
-    return DiscriminationResult(
-        p_success=p_success,
-        povm=povm,
-        certificate_gap=upper - p_success,
-        iterations=steps,
-    )
+def _certified(probs: np.ndarray, states: np.ndarray, weighted: np.ndarray,
+               elements: np.ndarray, y: np.ndarray,
+               iterations: np.ndarray) -> list[DiscriminationResult]:
+    """The solver's POVMs polished by one square-root step, with their gaps,
+    for a stack of ensembles (probs, states, weighted = p_i rho_i)."""
+    def success(els):  # <phi_i|Pi_i|phi_i> and P_s
+        diag = (states.conj()[..., :, None, :] @ els @ states[..., :, :, None])[..., 0, 0].real
+        return diag, (probs * diag).sum(axis=-1)
 
-
-def min_error_solve(e: Ensemble) -> DiscriminationResult:
-    """Optimal POVM from `_barrier_solve`, polished by one square-root step.
-
-    The barrier's measurement lies about SOLVER_TOL below the optimum. One
-    weighted square-root-measurement step from it, with weights
-    c_i = p_i^2 <phi_i|Pi_i|phi_i>, usually closes that distance; it is kept
-    only when its P_s is higher. The certificate gap is
-    Tr Y + d*g(Y) - P_s for the barrier's dual operator Y.
-    """
-    return _certified(e, *_barrier_solve(e, SOLVER_TOL))
+    diag, p_success = success(elements)
+    sqrt_els, null = _square_root_measurement(states, probs**2 * diag)
+    polished = _renormalize(sqrt_els + null[:, None] / states.shape[-2])
+    polished_p = success(polished)[1]
+    better = polished_p > p_success
+    elements = np.where(better[:, None, None, None], polished, elements)
+    p_success = np.where(better, polished_p, p_success)
+    upper = (np.trace(y, axis1=-2, axis2=-1).real
+             + states.shape[-1] * _dual_residual(weighted, y))
+    return [DiscriminationResult(p_success=float(p), povm=m, certificate_gap=float(u - p),
+                                 iterations=int(it))
+            for p, m, u, it in zip(p_success, _povms(elements), upper, iterations)]
 
 
 def min_error_solve_block(ensembles: list[Ensemble]) -> list[DiscriminationResult]:
-    """`min_error_solve` of each ensemble of a list of one shape (n, d).
+    """Optimal POVM of each ensemble of a list of one shape (n, d), solved on
+    one stack by `_primal_dual`, each result bitwise that of a block of one.
 
-    Two or more run the barrier in lockstep (`_barrier_solve_stack`), which
-    amortizes numpy's per-call cost; the results are bitwise those of
-    one-at-a-time solves. A lone ensemble takes `_barrier_solve`, which is
-    faster on a stack of one.
+    The primal-dual measurement lies about SOLVER_TOL below the optimum. One
+    weighted square-root-measurement step from it, with weights
+    c_i = p_i^2 <phi_i|Pi_i|phi_i>, usually closes that distance; it is kept
+    only when its P_s is higher. The certificate gap is
+    Tr Y + d*g(Y) - P_s for the solver's dual operator Y.
     """
-    if len(ensembles) == 1:
-        return [min_error_solve(ensembles[0])]
-    return [_certified(e, *r)
-            for e, r in zip(ensembles, _barrier_solve_stack(ensembles, SOLVER_TOL))]
+    probs, states = _stacked(ensembles)
+    weighted = probs[..., None, None] * (states[..., :, None] * states.conj()[..., None, :])
+    return _certified(probs, states, weighted, *_primal_dual(probs, weighted))
+
+
+def min_error_solve(e: Ensemble) -> DiscriminationResult:
+    """`min_error_solve_block` of one ensemble."""
+    return min_error_solve_block([e])[0]
 
 
 def _entropies(p: np.ndarray) -> np.ndarray:
@@ -453,8 +451,7 @@ def _hill_climb(ensembles: list[Ensemble], starts: np.ndarray) -> np.ndarray:
     (2005) hold. A renormalized, validated proposal is kept only when I(D:M)
     rises; each start has its own eps. Returns the best I(D:M) per start.
     """
-    probs = np.array([e.probs for e in ensembles])[:, None]
-    states = np.array([e.states for e in ensembles])[:, None]
+    probs, states = (a[:, None] for a in _stacked(ensembles))
     kets, bras = states.swapaxes(-1, -2)[..., None, :, :], states.conj()[..., None, :, :]
     elements = starts.copy()
     joint = _joint(probs, states, elements)
@@ -480,24 +477,23 @@ def _hill_climb(ensembles: list[Ensemble], starts: np.ndarray) -> np.ndarray:
 
 def accessible_info_lower(e: Ensemble | list[Ensemble],
                           min_error_povm: Povm | list[Povm]) -> float | list[float]:
-    """Certified lower bound on Acc(D) in bits: the best I(D:M) of the
-    min-error POVM, the PGM and `_hill_climb` from both. Nothing is random.
+    """Certified lower bound on Acc(D) in bits: the best I(D:M) that
+    `_hill_climb` reaches from the min-error POVM and from the PGM, so at
+    least that of either start. Nothing is random.
 
     `e` may be a list of ensembles of one shape with a list of their min-error
-    POVMs; the ascents then run in lockstep, each bound bitwise as if alone.
+    POVMs; their PGMs are built on one stack and the ascents run in lockstep,
+    each bound bitwise as if alone.
     """
     single = isinstance(e, Ensemble)
     ensembles, povms = ([e], [min_error_povm]) if single else (e, min_error_povm)
-    pairs = [(m, pretty_good_measurement(x)) for x, m in zip(ensembles, povms)]
-    best = [max(mutual_information(x, m), mutual_information(x, pgm))
-            for x, (m, pgm) in zip(ensembles, pairs)]
-    starts = [_padded(pair) for pair in pairs]
+    starts = [_padded(pair) for pair in zip(povms, _pgms(ensembles))]
+    best = [0.0] * len(starts)
     # Ensembles climb with those of their own outcome count, so that no
     # ensemble's padding depends on the others in its block.
     for k in {s.shape[1] for s in starts}:
         ids = [j for j, s in enumerate(starts) if s.shape[1] == k]
         climbed = _hill_climb([ensembles[j] for j in ids], np.array([starts[j] for j in ids]))
         for j, c in zip(ids, climbed):
-            best[j] = max(best[j], *c)
-    best = [float(b) for b in best]
+            best[j] = float(c.max())
     return best[0] if single else best

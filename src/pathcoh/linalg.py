@@ -7,6 +7,7 @@ callers can batch many small decompositions into one call.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,19 +141,25 @@ def purity(rho: np.ndarray) -> float:
 
 
 def clip_spectrum(w: np.ndarray) -> np.ndarray:
-    """Clip eigenvalues in [-PSD_TOL, 0) to 0; anything below -PSD_TOL is an error."""
+    """Clip eigenvalues in [-PSD_TOL, 0) to 0; anything below -PSD_TOL is an
+    error, and FloatingPointError reports NaN or -Infinity."""
     w = np.asarray(w, dtype=float)
     lo = float(w.min()) if w.size else 0.0
-    if lo < -PSD_TOL:
+    if not lo >= -PSD_TOL:
+        if not math.isfinite(lo):
+            raise FloatingPointError("spectrum has non-finite entries")
         raise ValueError(f"genuinely negative eigenvalue {lo:.3e} (below -{PSD_TOL:.0e})")
     return np.clip(w, 0.0, None)
 
 
 def shannon_entropy(p) -> float:
-    """Shannon entropy in bits; 0 log 0 := 0."""
+    """Shannon entropy in bits; 0 log 0 := 0; FloatingPointError on NaN or Infinity."""
     p = clip_spectrum(np.asarray(p, dtype=float))
     nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+    h = float(-np.sum(nz * np.log2(nz)))
+    if not math.isfinite(h):
+        raise FloatingPointError("distribution has non-finite entries")
+    return h
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

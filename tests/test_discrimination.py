@@ -7,15 +7,15 @@ from pathcoh.discrimination import (
     DiscriminationResult,
     Ensemble,
     Povm,
-    _barrier_solve,
-    _barrier_solve_stack,
     _check_povms,
+    _cholesky,
     _dual_residual,
     _entropies,
     _hill_climb,
     _joint,
     _mutual,
     _padded,
+    _primal_dual,
     _renormalize,
     accessible_info_lower,
     certificate_gap,
@@ -286,7 +286,17 @@ class TestGeometricallyUniform:
             assert oracle <= res.p_success + res.certificate_gap + 1e-12
 
 
+def primal_dual(ensembles):
+    """`_primal_dual` of a list of ensembles of one shape."""
+    probs = np.array([e.probs for e in ensembles])
+    return _primal_dual(probs, np.array([e.probs[:, None, None] * e.projectors()
+                                         for e in ensembles]))
+
+
 class TestBarrierFallback:
+    """The primal-dual solve on the cases the dual barrier it replaced was
+    kept for."""
+
     def test_stalled_scenario_certified(self):
         # A PGM-seeded fixed-point iteration stalls on this scenario (one
         # path has p ~ 7e-5) at a residual of 6e-7 with P_s = 0.97206613,
@@ -295,7 +305,7 @@ class TestBarrierFallback:
         e = detector_ensemble(spec)
         res = min_error_solve(e)
         assert res.certified
-        assert 0 < res.iterations <= 150  # Newton steps of the dual barrier
+        assert 0 < res.iterations <= 30  # primal-dual iterations
         assert res.p_success >= 0.9720669
         assert res.p_success <= pairwise_bound(e)
         rep = check_l1_memory(spec)
@@ -306,36 +316,35 @@ class TestBarrierFallback:
             rng = np.random.default_rng(900 + s)
             n = 2 + s % 4
             e = random_ensemble(rng, n, int(rng.integers(1, n + 1)))
-            povm, y, _ = _barrier_solve(e, 1e-10)
+            elements, y, _ = primal_dual([e])
             for p, rho in zip(e.probs, e.projectors()):
-                assert np.linalg.eigvalsh(y - p * rho).min() >= 0.0
-            gap = np.trace(y).real - success_probability(e, povm)
+                assert np.linalg.eigvalsh(y[0] - p * rho).min() >= 0.0
+            gap = np.trace(y[0]).real - success_probability(e, Povm(tuple(elements[0])))
             assert -1e-12 <= gap <= CERT_THRESHOLD
 
 
-def assert_same_barrier(got, want):
-    (povm, y, steps), (povm1, y1, steps1) = got, want
-    assert steps == steps1
-    assert y.tobytes() == y1.astype(complex).tobytes()
-    assert [el.tobytes() for el in povm.elements] == [el.tobytes() for el in povm1.elements]
-
-
 def assert_stack_matches_singles(ensembles):
-    """Lockstep solve bitwise equal to one `_barrier_solve` per ensemble, and
-    `min_error_solve_block` to one `min_error_solve` each; returns the steps."""
-    stacked = _barrier_solve_stack(ensembles, 1e-10)
-    for e, got in zip(ensembles, stacked):
-        assert_same_barrier(got, _barrier_solve(e, 1e-10))
+    """Lockstep solve bitwise equal to a stack of one per ensemble, and
+    `min_error_solve_block` to one `min_error_solve` each; returns the
+    iteration counts."""
+    elements, y, iterations = primal_dual(ensembles)
+    for j, e in enumerate(ensembles):
+        els1, y1, its1 = primal_dual([e])
+        assert iterations[j] == its1[0]
+        assert y[j].tobytes() == y1[0].tobytes()
+        assert elements[j].tobytes() == els1[0].tobytes()
     for e, res in zip(ensembles, min_error_solve_block(ensembles)):
         one = min_error_solve(e)
         assert (res.p_success, res.certificate_gap, res.iterations) == \
                (one.p_success, one.certificate_gap, one.iterations)
         assert [el.tobytes() for el in res.povm.elements] == \
                [el.tobytes() for el in one.povm.elements]
-    return [steps for _, _, steps in stacked]
+    return list(iterations)
 
 
 class TestLockstepBarrier:
+    """The primal-dual solve of a stack, bit for bit one ensemble at a time."""
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_stack_matches_one_at_a_time(self, n):
         for d in range(1, n + 1):
@@ -346,16 +355,8 @@ class TestLockstepBarrier:
         rng = np.random.default_rng(5)
         ensembles = [random_ensemble(rng, 4, 4) for _ in range(4)]
         ensembles += [detector_ensemble(sample_scenario(subseed(101, 8, 405), 4, 1))]
-        steps = assert_stack_matches_singles(ensembles)
-        assert len(set(steps)) >= 3
-
-    def test_first_stage_runs_into_its_step_cap(self):
-        # Sixteen states in d = 4 take all 50 Newton steps of the first stage
-        # without centring; the stack must cut each member's stage there too.
-        rng = np.random.default_rng(1604)
-        assert_stack_matches_singles([
-            Ensemble(p, np.array([haar_state(rng, 4) for _ in range(16)]))
-            for p in (np.full(16, 1 / 16), rng.dirichlet(np.ones(16)), np.full(16, 1 / 16))])
+        iterations = assert_stack_matches_singles(ensembles)
+        assert len(set(iterations)) >= 3
 
     def test_pinned_stalled_scenario(self):
         pinned = detector_ensemble(sample_scenario(subseed(101, 8, 405), 4, 1))
@@ -366,14 +367,45 @@ class TestLockstepBarrier:
     def test_tiny_path_probability(self):
         p = np.array([0.97 - 1e-9, 1e-9, 0.03])
         rng = np.random.default_rng(0)
-        assert_stack_matches_singles(
-            [Ensemble(p, np.array([haar_state(rng, 3) for _ in range(3)])) for _ in range(4)])
+        ensembles = [Ensemble(p, np.array([haar_state(rng, 3) for _ in range(3)]))
+                     for _ in range(4)]
+        assert_stack_matches_singles(ensembles)
+        assert all(res.certified for res in min_error_solve_block(ensembles))
 
-    def test_stack_of_one_is_the_single_loop(self):
-        rng = np.random.default_rng(8)
-        for n, d in ((2, 2), (3, 2), (5, 5)):
-            e = random_ensemble(rng, n, d)
-            assert_same_barrier(_barrier_solve_stack([e], 1e-10)[0], _barrier_solve(e, 1e-10))
+    def test_sixteen_states_in_four_dimensions(self):
+        rng = np.random.default_rng(1604)
+        ensembles = [Ensemble(p, np.array([haar_state(rng, 4) for _ in range(16)]))
+                     for p in (np.full(16, 1 / 16), rng.dirichlet(np.ones(16)))]
+        assert_stack_matches_singles(ensembles)
+        assert all(res.certified for res in min_error_solve_block(ensembles))
+
+    def test_degenerate_program_certified(self):
+        # Two states in d = 7: near the optimum, rounding leaves an iterate
+        # of the first without a Cholesky factor, and it stops there.
+        rng = np.random.default_rng(20)
+        p = np.array([0.0, 0.25, 0.0, 0.0, 0.75])
+        ensembles = [Ensemble(p, np.array([haar_state(rng, 7) for _ in range(5)]))
+                     for _ in range(3)]
+        assert_stack_matches_singles(ensembles)
+        assert all(res.certified for res in min_error_solve_block(ensembles))
+
+    def test_cholesky_marks_members_without_a_factor(self):
+        good, bad = np.eye(2, dtype=complex), np.diag([1.0, -1e-17]).astype(complex)
+        pairs = np.array([[[good], [bad], [good]], [[good], [good], [2 * good]]])
+        chol, factored = _cholesky(pairs)
+        assert factored.tolist() == [True, False, True]
+        assert np.array_equal(chol[:, factored], np.linalg.cholesky(pairs[:, factored]))
+        assert not chol[:, 1].any()
+
+    def test_iteration_cap_stops_uncertified(self, monkeypatch):
+        monkeypatch.setattr(discrimination, "SOLVER_MAX_ITER", 2)
+        rng = np.random.default_rng(3)
+        ensembles = [random_ensemble(rng, 4, 3) for _ in range(3)]
+        results = min_error_solve_block(ensembles)
+        assert [res.iterations for res in results] == [2, 2, 2]
+        assert not any(res.certified for res in results)
+        for res, e in zip(results, ensembles):
+            assert res.p_success == pytest.approx(success_probability(e, res.povm), abs=1e-12)
 
 
 class TestDualResidual:
@@ -388,7 +420,7 @@ class TestDualResidual:
             for p, state in zip(e.probs, e.states):
                 lo = float(np.linalg.eigvalsh(y - p * np.outer(state, state.conj())).min())
                 gap = max(gap, -lo)
-            assert _dual_residual(e, e.projectors(), y) == max(gap, 0.0)
+            assert _dual_residual(e.probs[:, None, None] * e.projectors(), y) == max(gap, 0.0)
 
 
 def renormalize_one(elements):
@@ -504,30 +536,30 @@ def ascent_starts(es, povms):
 # of the ascent from the min-error POVM and from the PGM. The arithmetic must
 # reproduce them bit for bit.
 ACCESSIBLE_HEX = [
-    ((2, 1, None), '0x1.37a3addfa5478p-3',
-     ('0x1.37a3addfa5478p-3', '0x1.37a3a4b856560p-3')),
-    ((2, 2, None), '0x1.029bbb92e8c90p-2',
-     ('0x1.029bbb92e8c90p-2', '0x1.029bb025a6ab0p-2')),
-    ((3, 1, None), '0x1.96e7646a77f00p-1',
-     ('0x1.96e7646a77f00p-1', '0x1.95c8f65d4d6d8p-1')),
-    ((3, 2, None), '0x1.633f4bf93ea6cp-1',
-     ('0x1.633f4bf93ea6cp-1', '0x1.633a65ad672c4p-1')),
-    ((4, 1, None), '0x1.2572f5886534ap+0',
-     ('0x1.2572f5886534ap+0', '0x1.2567dc6fb88d0p+0')),
-    ((4, 2, None), '0x1.193b8cafe2186p+0',
-     ('0x1.19295d2674a0cp+0', '0x1.193b8cafe2186p+0')),
-    ((5, 1, None), '0x1.d551a0d11c80cp-1',
-     ('0x1.d507a41e5e004p-1', '0x1.d551a0d11c80cp-1')),
-    ((5, 2, None), '0x1.39e3d53e6b06ep+0',
-     ('0x1.39e3d53e6b06ep+0', '0x1.399416b35bf24p+0')),
-    ((3, 1, 2), '0x1.37defacf252acp-1',
-     ('0x1.37defacf252acp-1', '0x1.37dedea7e92c0p-1')),
-    ((4, 2, 2), '0x1.8edd20b9845b0p-2',
-     ('0x1.7f08a058f7c00p-2', '0x1.8edd20b9845b0p-2')),
-    ((5, 1, 2), '0x1.997dccb206c70p-2',
-     ('0x1.997dccb206c70p-2', '0x1.97de78e33eab8p-2')),
-    ((5, 2, 2), '0x1.6427e0d1a0ae0p-1',
-     ('0x1.6427e0d1a0ae0p-1', '0x1.64264f39579bcp-1')),
+    ((2, 1, None), '0x1.37a3addfa5268p-3',
+     ('0x1.37a3addfa5268p-3', '0x1.37a3a4b856618p-3')),
+    ((2, 2, None), '0x1.029bbb92e8c74p-2',
+     ('0x1.029bbb92e8c74p-2', '0x1.029bb0d6e2fc4p-2')),
+    ((3, 1, None), '0x1.96e7646a5a8c6p-1',
+     ('0x1.96e7646a5a8c6p-1', '0x1.95c8f65d6c1dcp-1')),
+    ((3, 2, None), '0x1.633f4be8f8b50p-1',
+     ('0x1.633f4be8f8b50p-1', '0x1.633a65ad6729ep-1')),
+    ((4, 1, None), '0x1.2572f57c16730p+0',
+     ('0x1.2572f57c16730p+0', '0x1.2567dc7052f4cp+0')),
+    ((4, 2, None), '0x1.193b8cafe199cp+0',
+     ('0x1.19295d224d604p+0', '0x1.193b8cafe199cp+0')),
+    ((5, 1, None), '0x1.d551a0d688b44p-1',
+     ('0x1.d50b593853a58p-1', '0x1.d551a0d688b44p-1')),
+    ((5, 2, None), '0x1.39e3d57dfcff0p+0',
+     ('0x1.39e3d57dfcff0p+0', '0x1.399416b34fb5cp+0')),
+    ((3, 1, 2), '0x1.37defacf25288p-1',
+     ('0x1.37defacf25288p-1', '0x1.37dedea7e92bcp-1')),
+    ((4, 2, 2), '0x1.8edd20b9850d0p-2',
+     ('0x1.7f08a019d7658p-2', '0x1.8edd20b9850d0p-2')),
+    ((5, 1, 2), '0x1.997dccc676400p-2',
+     ('0x1.997dccc676400p-2', '0x1.97de78e33b4e8p-2')),
+    ((5, 2, 2), '0x1.6427e0d1a0ab8p-1',
+     ('0x1.6427e0d1a0ab8p-1', '0x1.64264f3957a20p-1')),
 ]
 
 

@@ -186,7 +186,9 @@ class TestAccessible:
             spec = sample_scenario(s, 2 + s % 3, 1 + s % 3)
             rep = check_accessible_relation(spec)
             assert rep.satisfied, (s, rep.slack)
-            assert rep.components["holevo_dominance"] == 1.0
+            # Pure ABD state: chi + C_r equals the rhs identically.
+            chi_c_r = rep.components["holevo"] + rep.components["C_r"]
+            assert chi_c_r == pytest.approx(rep.rhs, abs=1e-9)
             assert rep.components["Acc_lower"] <= rep.components["holevo"] + 1e-9
 
 

@@ -279,11 +279,13 @@ class TestSharedEvaluation:
         _count_calls(monkeypatch, calls, duality, "scenario_reduced")
         _count_calls(monkeypatch, calls, duality, "min_error_solve")
         _count_calls(monkeypatch, calls, discrimination, "min_error_solve")
+        _count_calls(monkeypatch, calls, harness, "min_error_solve_block")
         rows = harness._eval_task(cfg, 0, 0)
         assert len(rows) == 6
         assert calls.count("scenario_reduced") == 1
-        # ACCESSIBLE reads the shared solve's POVM too.
-        assert calls.count("min_error_solve") == 1
+        # One block solve of one; ACCESSIBLE reads its POVM too.
+        assert calls.count("min_error_solve_block") == 1
+        assert calls.count("min_error_solve") == 0
 
     def test_sweep_matches_one_fresh_check_per_relation(self):
         cfg = SweepConfig(seed=23, count=2, n_values=(2, 3), d_b_values=(1, 2))
@@ -407,14 +409,14 @@ class TestBlockSweep:
 # SHA-256 of reference sweep CSVs; rows must not move unless a change says so.
 REFERENCE_CSVS = [
     (["--seed", "101", "--count", "8", "--n", "2,3,4,5", "--db", "1,2"],
-     "0dc249a1a98b352e21868f2dc7d895515e321b74bbb8a6e868fcd993c081d8b5"),
+     "e0b23140f84a0313342ef2339550340e7b8b3ecc1177849d9ffdfead351ec3ab"),
     (["--seed", "7", "--count", "4", "--n", "2,3,4,5", "--db", "3,4"],
-     "f88752696f504423555fbf94fe9a0d81515e085e1d1b883a893792ce333a4c1e"),
+     "21c5cd2dd3cc870d3172478e0e7361eb769bc2353438606b52dec6026160e04a"),
     (["--seed", "5", "--count", "3", "--n", "3,4", "--db", "1,2", "--dd", "2"],
-     "a2f4f6d5bb62f1a5de180e7a45b6c3bc407968d3a0d132463c3ae178d396d86e"),
+     "e32850bf34623cafa0dd4fc5ed0d219a188dcff99b8caefeb2004797425f038f"),
     (["--seed", "101", "--count", "41", "--n", "2,3,4,5", "--db", "1,2,3,4",
       "--relation", "L1_MEMORY"],
-     "44bddb0612cc23fe7c0fe9f4ca70682f078ae689aa840e9fdb674bdee5b1765d"),
+     "c9ec191a02dbbb35843cc234ccf7400efd9a47475846a05faeceb96610e0528b"),
 ]
 
 
@@ -560,6 +562,33 @@ class TestCli:
         assert res.exit_code == 4
         assert res.output == ("internal error: ENTROPIC_MEMORY: FloatingPointError: "
                               "matrix has non-finite entries\n")
+
+    def test_accessible_bound_above_holevo_exits_4(self, tmp_path, monkeypatch):
+        # Holevo's bound caps every I(D:M); a search result above chi is a
+        # fault, in `check` and in a sweep alike.
+        monkeypatch.setattr(duality, "accessible_info_lower",
+                            lambda e, m: discrimination.holevo(e) + 1e-3)
+        monkeypatch.setattr(harness, "accessible_info_lower",
+                            lambda es, ms: [discrimination.holevo(e) + 1e-3 for e in es])
+        res = self.run("check", str(write_doc(tmp_path, SCENARIO_DOC)),
+                       "--relation", "ACCESSIBLE")
+        assert res.exit_code == 4
+        assert res.output == ("internal error: ACCESSIBLE: AssertionError: "
+                              "Acc_lower - holevo = 1.000e-03: above Holevo's bound\n")
+        res = self.run("sweep", "--seed", "9", "--count", "2", "--n", "3", "--db", "1",
+                       "--relation", "ACCESSIBLE", "--out", str(tmp_path / "x.csv"))
+        assert res.exit_code == 4
+        assert res.output.startswith("internal error: s9-c0-i0: ACCESSIBLE: AssertionError: ")
+
+    def test_check_solve_stopped_by_the_iteration_cap_exits_3(self, tmp_path, monkeypatch):
+        p = tmp_path / "n3.json"
+        emit_scenario(sample_scenario(5, 3, 1), p)
+        args = ("check", str(p), "--relation", "L1_MEMORY")
+        assert self.run(*args).exit_code == 0
+        monkeypatch.setattr(discrimination, "SOLVER_MAX_ITER", 2)
+        res = self.run(*args)
+        assert res.exit_code == 3
+        assert "[UNCERTIFIED]" in res.output
 
     def test_check_tol_overrides_the_verdict(self, tmp_path):
         # The N = 2 equality holds to rounding: slack -1.9e-16 on this scenario.
@@ -719,7 +748,9 @@ class TestCli:
         p = write_doc(tmp_path, ENSEMBLE_DOC)
         res = self.run("discriminate", str(p))
         assert res.exit_code == 0
-        assert "p_success = 1" in res.output
+        # Orthonormal states: P_s = 1, to the last bit of the renormalized POVM.
+        p_success = float(res.output.split("p_success = ")[1].split()[0])
+        assert abs(p_success - 1.0) <= 2**-53
         assert "pairwise_bound" in res.output
 
     def test_discriminate_rejects_scenario(self, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from pathcoh.linalg import (
     Dims,
     check_density_matrix,
+    clip_spectrum,
     dagger,
     eigh,
     kron,
@@ -241,6 +242,23 @@ class TestPurityEntropy:
     def test_shannon_entropy(self):
         assert shannon_entropy([0.5, 0.5]) == pytest.approx(1.0)
         assert shannon_entropy([1.0, 0.0]) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_clip_spectrum_refuses_non_finite(self, bad):
+        # `nan < -PSD_TOL` is False; NaN must raise, and not as a ValueError.
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            clip_spectrum([bad, 0.5])
+        with pytest.raises(ValueError, match="genuinely negative"):
+            clip_spectrum([-1e-6, 0.5])
+        assert clip_spectrum([-1e-12, 0.5]).tolist() == [0.0, 0.5]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_shannon_entropy_refuses_non_finite(self, bad):
+        # `p[p > 0]` would drop a NaN with the zeros and leave a finite entropy.
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            shannon_entropy([bad, 0.5])
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            shannon_entropy([0.25, bad, 0.0])
 
 
 class TestDensityCheck:

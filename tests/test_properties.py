@@ -1,5 +1,5 @@
-"""Property-based checks for the core linear-algebra and coherence layers, and
-for the CLI's refusal of non-finite input."""
+"""Property-based checks for the core linear-algebra and coherence layers, the
+min-error solve, and the CLI's refusal of non-finite input."""
 import json
 import tempfile
 from pathlib import Path
@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from pathcoh.cli import main
 from pathcoh.coherence import l1_coherence
+from pathcoh.discrimination import Ensemble, min_error_solve, min_error_solve_block, pairwise_bound
 from pathcoh.harness import sample_two_particle, to_pairs
 from pathcoh.linalg import Dims, kron, partial_trace, trace_norm
-from pathcoh.sampling import sample_scenario
+from pathcoh.sampling import haar_state, sample_scenario
 
 settings.register_profile("suite", max_examples=50, deadline=None)
 settings.load_profile("suite")
@@ -84,6 +85,28 @@ def test_trace_norm_convexity(seed, d, t):
     mix = t * ha + (1 - t) * hb
     bound = t * trace_norm(ha) + (1 - t) * trace_norm(hb)
     assert trace_norm(mix) <= bound + 1e-10 * max(1.0, bound)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.data())
+def test_min_error_solve_certified_and_blockwise(seed, n, data):
+    # Path probabilities mix exact zeros, 1e-9 and ordinary weights.
+    d = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    ensembles = []
+    for _ in range(3):
+        w = np.array(data.draw(st.lists(st.sampled_from([0.0, 1e-9, None]),
+                                        min_size=n, max_size=n)), dtype=float)
+        free = np.isnan(w)
+        w[free] = rng.uniform(0.05, 1.0, free.sum())
+        w[0] = w[0] if w[0] > 1e-9 else 1.0  # at least one ordinary weight
+        ensembles.append(Ensemble(w / w.sum(), np.array([haar_state(rng, d) for _ in range(n)])))
+    block = min_error_solve_block(ensembles)
+    for e, res in zip(ensembles, block):
+        assert res.certified, res.certificate_gap
+        assert res.p_success <= pairwise_bound(e) + 1e-12
+        one = min_error_solve(e)
+        assert (res.p_success, res.certificate_gap, res.iterations) == \
+               (one.p_success, one.certificate_gap, one.iterations)
 
 
 # (command, file type, field that receives the non-finite entry)
