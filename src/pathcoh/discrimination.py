@@ -101,15 +101,6 @@ class Povm:
         return self.elements[0].shape[0]
 
 
-def _povms(stack: np.ndarray) -> list[Povm]:
-    """A Povm of each collection of a (B, k, d, d) stack, checked in one pass."""
-    _check_povms(stack)
-    povms = [object.__new__(Povm) for _ in stack]
-    for m, elements in zip(povms, stack):
-        object.__setattr__(m, "elements", tuple(elements))
-    return povms
-
-
 @dataclass(frozen=True)
 class DiscriminationResult:
     """Success probability `p_success` attained by `povm`, with its certificate.
@@ -206,21 +197,32 @@ def pairwise_bound(e: Ensemble) -> float:
 
     1/N + (1/2N) sum_{i,j} ||T_ij||_1 with T_ij = p_i rho_i - p_j rho_j.
     """
-    rhos, n = e.projectors(), e.n
-    total = sum(trace_norm(e.probs[i] * rhos[i] - e.probs[j] * rhos[j])
-                for i in range(n) for j in range(n) if i != j)
+    rhos = e.projectors()
+    n = e.n
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                total += trace_norm(e.probs[i] * rhos[i] - e.probs[j] * rhos[j])
     return 1.0 / n + total / (2.0 * n)
 
 
 def _square_root_measurement(states: np.ndarray,
                              weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elements S^{-1/2} w_i |phi_i><phi_i| S^{-1/2} with
-    S = sum_i w_i |phi_i><phi_i|, and the projector onto the null space of S,
-    for states (..., n, d) and weights (..., n)."""
-    kets = states.swapaxes(-1, -2)
-    inv_root, null = _herm_power((kets * weights[..., None, :]) @ dagger(kets), -0.5)
-    v = (inv_root @ kets).swapaxes(-1, -2)  # the rows S^{-1/2} |phi_i>
-    return weights[..., None, None] * (v[..., :, None] * v.conj()[..., None, :]), null
+    """Elements |mu_i><mu_i|, mu_i = S^{-1/2} sqrt(w_i) |phi_i> with
+    S = sum_i w_i |phi_i><phi_i| (eigenvalues <= 1e-12 -> 0), and the null
+    projector of S, for states (..., n, d) and weights (..., n). The mu_i are
+    the columns of U V^H for the SVD U Sigma V^H of the (d, n) matrix of the
+    sqrt(w_i) |phi_i>, so no weight is divided out again and orthogonal
+    states give exact projectors."""
+    d, k = states.shape[-1], min(states.shape[-2:])
+    roots = np.sqrt(np.clip(weights, 0.0, None))[..., None, :]
+    u, s, vh = np.linalg.svd(states.swapaxes(-1, -2) * roots)
+    support = np.zeros(s.shape[:-1] + (d,), dtype=bool)
+    support[..., :k] = s * s > 1e-12
+    mu = ((u[..., :k] * support[..., None, :k]) @ vh[..., :k, :]).swapaxes(-1, -2)
+    null = (u * ~support[..., None, :]) @ dagger(u)
+    return mu[..., :, None] * mu.conj()[..., None, :], null
 
 
 def _pgms(ensembles: list[Ensemble]) -> list[Povm]:
@@ -231,10 +233,7 @@ def _pgms(ensembles: list[Ensemble]) -> list[Povm]:
     for elements, null in zip(*_square_root_measurement(states, probs)):
         if np.max(np.abs(null)) > 1e-9:
             elements = np.concatenate((elements, null[None]))
-        try:
-            povms.append(Povm(tuple(elements)))
-        except ValueError:
-            povms.append(Povm(tuple(_renormalize(elements))))
+        povms.append(Povm(tuple(elements)))
     return povms
 
 
@@ -242,10 +241,9 @@ def pretty_good_measurement(e: Ensemble) -> Povm:
     """Pi_i = rho^{-1/2} p_i |phi_i><phi_i| rho^{-1/2} with rho = sum p_i rho_i.
 
     When rho is rank-deficient a completion element on the null space is
-    appended so the elements sum to identity. An eigenvalue of rho just above
-    the inverse root's cutoff (a path probability near 1e-9, say) amplifies
-    rounding until the elements are no longer PSD or complete; `_renormalize`
-    then restores both.
+    appended so the elements sum to identity. The SVD form of
+    `_square_root_measurement` amplifies no rounding, even for a path
+    probability near 1e-9, so the elements need no renormalization.
     """
     return _pgms([e])[0]
 
@@ -364,9 +362,9 @@ def _certified(probs: np.ndarray, states: np.ndarray, weighted: np.ndarray,
     p_success = np.where(better, polished_p, p_success)
     upper = (np.trace(y, axis1=-2, axis2=-1).real
              + states.shape[-1] * _dual_residual(weighted, y))
-    return [DiscriminationResult(p_success=float(p), povm=m, certificate_gap=float(u - p),
-                                 iterations=int(it))
-            for p, m, u, it in zip(p_success, _povms(elements), upper, iterations)]
+    return [DiscriminationResult(p_success=float(p), povm=Povm(tuple(m)),
+                                 certificate_gap=float(u - p), iterations=int(it))
+            for p, m, u, it in zip(p_success, elements, upper, iterations)]
 
 
 def min_error_solve_block(ensembles: list[Ensemble]) -> list[DiscriminationResult]:

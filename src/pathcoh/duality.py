@@ -19,7 +19,6 @@ from .discrimination import (
     helstrom,
     holevo,
     min_error_solve,
-    min_error_solve_block,
     mutual_information,
 )
 from .interferometer import (
@@ -313,8 +312,10 @@ def check_two_particle_sum(tp: TwoParticleScenario) -> DualityReport:
 
     ens_a = Ensemble(p_a, tp.detector_a)
     ens_b = Ensemble(p_b, tp.detector_b)
-    res_a, res_b = ((helstrom(ens_a), helstrom(ens_b)) if n == 2
-                    else min_error_solve_block([ens_a, ens_b]))
+    if n == 2:
+        res_a, res_b = helstrom(ens_a), helstrom(ens_b)
+    else:
+        res_a, res_b = min_error_solve(ens_a), min_error_solve(ens_b)
 
     x_a = normalized_x(rho_a, n)
     x_b = normalized_x(rho_b, n)

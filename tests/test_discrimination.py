@@ -202,7 +202,20 @@ class TestPrettyGoodMeasurement:
         for i in range(3):
             want = np.zeros((3, 3))
             want[i, i] = 1.0
-            assert np.max(np.abs(m.elements[i] - want)) <= 1e-10
+            assert np.array_equal(m.elements[i], want)
+
+    @pytest.mark.parametrize("tiny", [1e-6, 1e-9, 1e-11])
+    def test_tiny_probability_needs_no_renormalization(self, tiny):
+        # An eigenvalue of rho just above the 1e-12 cutoff: the elements stay
+        # PSD and complete to rounding, without `_renormalize`.
+        rng = np.random.default_rng(4)
+        for n, d in ((3, 3), (4, 3), (3, 5)):
+            p = np.full(n, (1 - tiny) / (n - 1))
+            p[0] = tiny
+            e = Ensemble(p, np.array([haar_state(rng, d) for _ in range(n)]))
+            m = pretty_good_measurement(e)
+            assert np.max(np.abs(sum(m.elements) - np.eye(d))) <= 1e-13
+            assert min(np.linalg.eigvalsh(el).min() for el in m.elements) >= -1e-15
 
     def test_symmetric_pair_is_optimal(self):
         # For two equiprobable states, the PGM (square-root measurement)
@@ -536,30 +549,30 @@ def ascent_starts(es, povms):
 # of the ascent from the min-error POVM and from the PGM. The arithmetic must
 # reproduce them bit for bit.
 ACCESSIBLE_HEX = [
-    ((2, 1, None), '0x1.37a3addfa5268p-3',
-     ('0x1.37a3addfa5268p-3', '0x1.37a3a4b856618p-3')),
-    ((2, 2, None), '0x1.029bbb92e8c74p-2',
-     ('0x1.029bbb92e8c74p-2', '0x1.029bb0d6e2fc4p-2')),
-    ((3, 1, None), '0x1.96e7646a5a8c6p-1',
-     ('0x1.96e7646a5a8c6p-1', '0x1.95c8f65d6c1dcp-1')),
-    ((3, 2, None), '0x1.633f4be8f8b50p-1',
-     ('0x1.633f4be8f8b50p-1', '0x1.633a65ad6729ep-1')),
-    ((4, 1, None), '0x1.2572f57c16730p+0',
-     ('0x1.2572f57c16730p+0', '0x1.2567dc7052f4cp+0')),
-    ((4, 2, None), '0x1.193b8cafe199cp+0',
-     ('0x1.19295d224d604p+0', '0x1.193b8cafe199cp+0')),
-    ((5, 1, None), '0x1.d551a0d688b44p-1',
-     ('0x1.d50b593853a58p-1', '0x1.d551a0d688b44p-1')),
-    ((5, 2, None), '0x1.39e3d57dfcff0p+0',
-     ('0x1.39e3d57dfcff0p+0', '0x1.399416b34fb5cp+0')),
+    ((2, 1, None), '0x1.37a3addfa53d8p-3',
+     ('0x1.37a3addfa53d8p-3', '0x1.37a3a4b8562e8p-3')),
+    ((2, 2, None), '0x1.029bbb92e8c88p-2',
+     ('0x1.029bbb92e8c88p-2', '0x1.029bb12dc0860p-2')),
+    ((3, 1, None), '0x1.96e7646a5a8c4p-1',
+     ('0x1.96e7646a5a8c4p-1', '0x1.95c8f65d697e8p-1')),
+    ((3, 2, None), '0x1.633f4bdd247b4p-1',
+     ('0x1.633f4bdd247b4p-1', '0x1.633a65acddc5cp-1')),
+    ((4, 1, None), '0x1.2572f57aee50ep+0',
+     ('0x1.2572f57aee50ep+0', '0x1.2567dc6eeeab6p+0')),
+    ((4, 2, None), '0x1.193b8cafe209ep+0',
+     ('0x1.19295d224a458p+0', '0x1.193b8cafe209ep+0')),
+    ((5, 1, None), '0x1.d551a0d812e6cp-1',
+     ('0x1.d50cacd5bc93cp-1', '0x1.d551a0d812e6cp-1')),
+    ((5, 2, None), '0x1.39e3d5565c04cp+0',
+     ('0x1.39e3d5565c04cp+0', '0x1.399416b33f17ep+0')),
     ((3, 1, 2), '0x1.37defacf25288p-1',
-     ('0x1.37defacf25288p-1', '0x1.37dedea7e92bcp-1')),
-    ((4, 2, 2), '0x1.8edd20b9850d0p-2',
-     ('0x1.7f08a019d7658p-2', '0x1.8edd20b9850d0p-2')),
-    ((5, 1, 2), '0x1.997dccc676400p-2',
-     ('0x1.997dccc676400p-2', '0x1.97de78e33b4e8p-2')),
-    ((5, 2, 2), '0x1.6427e0d1a0ab8p-1',
-     ('0x1.6427e0d1a0ab8p-1', '0x1.64264f3957a20p-1')),
+     ('0x1.37defacf25288p-1', '0x1.37dedea7e92b8p-1')),
+    ((4, 2, 2), '0x1.8edd20b984b40p-2',
+     ('0x1.7f08a019d74f8p-2', '0x1.8edd20b984b40p-2')),
+    ((5, 1, 2), '0x1.997dccc67d120p-2',
+     ('0x1.997dccc67d120p-2', '0x1.97de78e33eb18p-2')),
+    ((5, 2, 2), '0x1.6427e0d1a0ab4p-1',
+     ('0x1.6427e0d1a0ab4p-1', '0x1.64264f3958f50p-1')),
 ]
 
 

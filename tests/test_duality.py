@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pathcoh.discrimination import Ensemble, min_error_solve
 from pathcoh.duality import (
     Evaluation,
     Relation,
@@ -233,6 +234,19 @@ class TestTwoParticleSum:
             rep = check_two_particle_sum(random_two_particle(s, 3))
             assert rep.slack >= -1e-7, (s, rep.slack)
             assert rep.solver_certified
+
+    def test_detectors_of_different_widths(self):
+        # N = 3 with detector A in d = 2 and detector B in d = 3: each side
+        # is its own min-error problem.
+        tp = random_two_particle(7, 3)
+        rng = np.random.default_rng(7)
+        tp = TwoParticleScenario(tp.amplitudes,
+                                 np.array([haar_state(rng, 2) for _ in range(3)]),
+                                 tp.detector_b)
+        rep = check_two_particle_sum(tp)
+        assert rep.satisfied and rep.solver_certified
+        p_a = np.sum(np.abs(tp.amplitudes) ** 2, axis=1)
+        assert rep.components["P_s_A"] == min_error_solve(Ensemble(p_a, tp.detector_a)).p_success
 
 
 class TestWitnesses:
