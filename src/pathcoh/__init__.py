@@ -22,9 +22,7 @@ from .interferometer import (
     scenario_reduced,
 )
 from .coherence import (
-    CoherenceSummary,
     coherence_loss_bounds,
-    conditional_entropy,
     l1_coherence,
     normalized_x,
     rel_ent_coherence,
@@ -56,7 +54,6 @@ from .duality import (
     check_mixed_state,
     check_two_particle_sum,
     check_two_path_equality,
-    entanglement_witnesses,
 )
 from .sampling import haar_state, haar_unitary, sample_scenario, subseed
 from .harness import (

@@ -1,20 +1,20 @@
 """Command-line front end.
 
 Exit codes: 0 all relations satisfied, 1 at least one violation,
-2 input/config error, 3 solver failed certification on any row,
-4 internal error (a failed internal invariant, a numerical failure or any
-other exception raised while checking a relation).
+2 input/config error or a relation that does not apply, 3 solver failed
+certification on any row, 4 internal error (a failed internal invariant, a
+numerical failure or any other exception raised while checking a relation).
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import replace
 
 import click
-import numpy as np
 
 from .discrimination import Ensemble, min_error_solve, pairwise_bound
-from .duality import Evaluation, Relation, TwoParticleScenario, holds
+from .duality import Evaluation, NotApplicable, Relation, TwoParticleScenario, holds
 from .harness import (
     InternalError,
     ScenarioParseError,
@@ -74,6 +74,8 @@ def main():
               help="Override the pass tolerance for every relation.")
 def check(scenario_file, relations, tol):
     """Evaluate duality relations on a scenario file."""
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        _fail(2, f"error: --tol must be finite and >= 0, got {tol}")
     obj = _parse(scenario_file)
 
     if isinstance(obj, TwoParticleScenario):
@@ -81,12 +83,10 @@ def check(scenario_file, relations, tol):
         if wanted != [Relation.TWO_PARTICLE_SUM]:
             _fail(2, "error: two-particle files support only TWO_PARTICLE_SUM")
     elif isinstance(obj, ScenarioSpec):
-        if relations:
-            wanted = [Relation(r) for r in relations]
-            if Relation.TWO_PARTICLE_SUM in wanted:
-                _fail(2, "error: TWO_PARTICLE_SUM needs a two-particle file")
-        else:
-            wanted = applicable_relations(DEFAULT_RELATIONS, obj.n, obj.d_b)
+        wanted = ([Relation(r) for r in relations]
+                  or applicable_relations(DEFAULT_RELATIONS, obj.n, obj.d_b))
+        if Relation.TWO_PARTICLE_SUM in wanted:
+            _fail(2, "error: TWO_PARTICLE_SUM needs a two-particle file")
         obj = Evaluation(obj)  # the relations share its reduced states and solve
     else:
         _fail(2, "error: ensemble files go with the `discriminate` command")
@@ -95,11 +95,9 @@ def check(scenario_file, relations, tol):
     for rel in wanted:
         try:
             rep = run_relation(rel, obj)
+        except NotApplicable as exc:
+            _fail(2, f"error: {rel.value}: {exc}")
         except Exception as exc:
-            # A ValueError says the relation does not apply to this input;
-            # LinAlgError is a ValueError, but the input was valid.
-            if isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError):
-                _fail(2, f"error: {rel.value}: {exc}")
             _fail(4, f"internal error: {rel.value}: {type(exc).__name__}: {exc}")
         if tol is not None:
             rep = replace(rep, satisfied=holds(rep.slack, rep.equality, tol))

@@ -1,19 +1,10 @@
 """Coherence quantifiers in the path basis and entropy-based quantities."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .interferometer import ScenarioSpec, gram_matrix, scenario_reduced
-from .linalg import (
-    Dims,
-    check_density_matrix,
-    partial_trace,
-    purity,
-    shannon_entropy,
-    von_neumann_entropy,
-)
+from .linalg import check_density_matrix, purity, shannon_entropy, von_neumann_entropy
 
 
 def l1_coherence(rho: np.ndarray) -> float:
@@ -36,39 +27,6 @@ def rel_ent_coherence(rho: np.ndarray) -> float:
     rho = np.asarray(rho)
     check_density_matrix(rho)
     return shannon_entropy(np.diagonal(rho).real) - von_neumann_entropy(rho)
-
-
-def conditional_entropy(rho_ab: np.ndarray, dims: Dims) -> float:
-    """S(B|A) = S(rho_AB) - S(rho_A) in bits, where A is the first subsystem.
-
-    May be negative; negativity certifies entanglement.
-    """
-    if len(dims.names) != 2:
-        raise ValueError(f"expected bipartite dims, got {dims.names}")
-    rho_ab = np.asarray(rho_ab)
-    check_density_matrix(rho_ab)
-    rho_a = partial_trace(rho_ab, dims, dims.names[0])
-    return von_neumann_entropy(rho_ab) - von_neumann_entropy(rho_a)
-
-
-@dataclass(frozen=True)
-class CoherenceSummary:
-    """Coherence and entropy quantities of a particle state with diag = {p_i}."""
-
-    c_l1: float
-    x_normalized: float
-    c_rel_ent: float
-    shannon_p: float
-    s_rho: float
-
-    @classmethod
-    def of(cls, rho: np.ndarray) -> "CoherenceSummary":
-        rho = np.asarray(rho)
-        n = rho.shape[0]
-        c = l1_coherence(rho)
-        h = shannon_entropy(np.diagonal(rho).real)
-        s = von_neumann_entropy(rho)
-        return cls(c_l1=c, x_normalized=c / n, c_rel_ent=h - s, shannon_p=h, s_rho=s)
 
 
 def coherence_loss_bounds(spec: ScenarioSpec) -> tuple[float, float, float]:

@@ -28,7 +28,7 @@ from .interferometer import (
     gram_matrix,
     scenario_reduced,
 )
-from .linalg import Dims, partial_trace, purity, shannon_entropy, von_neumann_entropy
+from .linalg import purity, shannon_entropy, von_neumann_entropy
 
 INEQ_TOL = 1e-7
 EQ_TOL = 1e-9
@@ -43,6 +43,36 @@ class Relation(str, enum.Enum):
     ENTROPIC_MEMORY = "ENTROPIC_MEMORY"
     ACCESSIBLE = "ACCESSIBLE"
     TWO_PARTICLE_SUM = "TWO_PARTICLE_SUM"
+
+
+class NotApplicable(ValueError):
+    """The relation does not apply at the scenario's (N, d_B)."""
+
+
+def _refusal(relation: Relation, n: int, d_b: int) -> str | None:
+    if relation in (Relation.L1_NO_MEMORY, Relation.ENTROPIC_NO_MEMORY) and d_b != 1:
+        return f"memoryless relation needs d_B = 1, got {d_b}"
+    if relation is Relation.TWO_PATH_EQUALITY and n != 2:
+        return f"two-path equality needs N = 2, got {n}"
+    return None
+
+
+def applies(relation: Relation, n: int, d_b: int) -> bool:
+    """Whether `relation` applies to a scenario with N paths and memory dimension d_B."""
+    return _refusal(relation, n, d_b) is None
+
+
+# Relation -> checker name, looked up when called, so a wrapper on the global sees each call.
+CHECKS = {
+    Relation.L1_MEMORY: "check_l1_memory",
+    Relation.L1_NO_MEMORY: "check_l1_no_memory",
+    Relation.TWO_PATH_EQUALITY: "check_two_path_equality",
+    Relation.MIXED_STATE: "check_mixed_state",
+    Relation.ENTROPIC_MEMORY: "check_entropic_memory",
+    Relation.ENTROPIC_NO_MEMORY: "check_entropic_no_memory",
+    Relation.ACCESSIBLE: "check_accessible_relation",
+    Relation.TWO_PARTICLE_SUM: "check_two_particle_sum",
+}
 
 
 @dataclass(frozen=True)
@@ -88,17 +118,20 @@ class Evaluation:
     """The quantities of one scenario that every relation reads.
 
     Each is computed on first use and then kept, so the relations checked on
-    one scenario share one set of reduced states, one min-error solve and one
-    accessible-information search. An evaluation lives as long as its
-    scenario's checks do.
+    one scenario share one of each: reduced states, min-error solve, search,
+    X, purities, C_r, H(p) and entropies. It lives as long as those checks do.
     """
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
 
     @classmethod
-    def of(cls, target: ScenarioSpec | Evaluation) -> Evaluation:
-        return target if isinstance(target, Evaluation) else cls(target)
+    def of(cls, target: ScenarioSpec | Evaluation, relation: Relation) -> Evaluation:
+        """`target` as an evaluation; NotApplicable unless `relation` applies to it."""
+        ev = target if isinstance(target, Evaluation) else cls(target)
+        if why := _refusal(relation, ev.spec.n, ev.spec.d_b):
+            raise NotApplicable(why)
+        return ev
 
     @cached_property
     def reduced(self) -> ReducedSet:
@@ -118,57 +151,62 @@ class Evaluation:
         """Lower bound on Acc(D) from the ascent from the min-error POVM and the PGM."""
         return accessible_info_lower(self.ensemble, self.solution.povm)
 
+    @cached_property
+    def x(self) -> float:
+        return normalized_x(self.reduced.rho_a, self.spec.n)
+
+    @cached_property
+    def purities(self) -> tuple[float, float]:
+        """Tr rho_A^2 and Tr rho_AB^2."""
+        return purity(self.reduced.rho_a), purity(self.reduced.rho_ab)
+
+    @cached_property
+    def c_r(self) -> float:
+        return rel_ent_coherence(self.reduced.rho_a)
+
+    @cached_property
+    def h_p(self) -> float:
+        return shannon_entropy(self.reduced.p)
+
+    @cached_property
+    def entropies(self) -> tuple[float, float]:
+        """S(A) and S(AB)."""
+        return von_neumann_entropy(self.reduced.rho_a), von_neumann_entropy(self.reduced.rho_ab)
+
 
 def check_l1_memory(spec: ScenarioSpec | Evaluation) -> DualityReport:
     """Main relation: (P_s - 1/N)^2 + X^2 <= (1-1/N)^2 + 2(N-1)/N^2 (Tr rho_A^2 - Tr rho_AB^2)."""
-    ev = Evaluation.of(spec)
+    ev = Evaluation.of(spec, Relation.L1_MEMORY)
     n = ev.spec.n
-    red = ev.reduced
     res = ev.solution
-    x = normalized_x(red.rho_a, n)
-    pur_a = purity(red.rho_a)
-    pur_ab = purity(red.rho_ab)
-    lhs = (res.p_success - 1.0 / n) ** 2 + x**2
+    pur_a, pur_ab = ev.purities
+    lhs = (res.p_success - 1.0 / n) ** 2 + ev.x**2
     rhs = (1.0 - 1.0 / n) ** 2 + 2.0 * (n - 1) / n**2 * (pur_a - pur_ab)
-    comps = {"P_s": res.p_success, "X": x, "purity_A": pur_a, "purity_AB": pur_ab,
+    comps = {"P_s": res.p_success, "X": ev.x, "purity_A": pur_a, "purity_AB": pur_ab,
              "certificate_gap": res.certificate_gap}
     return _report(Relation.L1_MEMORY, lhs, rhs, comps, res.certified)
 
 
-def _memoryless(spec: ScenarioSpec | Evaluation) -> Evaluation:
-    ev = Evaluation.of(spec)
-    if ev.spec.d_b != 1:
-        raise ValueError(f"memoryless relation needs d_B = 1, got {ev.spec.d_b}")
-    return ev
-
-
 def check_l1_no_memory(spec: ScenarioSpec | Evaluation) -> DualityReport:
     """Memoryless relation: (P_s - 1/N)^2 + X^2 <= (1-1/N)^2 (requires d_B = 1)."""
-    ev = _memoryless(spec)
+    ev = Evaluation.of(spec, Relation.L1_NO_MEMORY)
     n = ev.spec.n
-    red = ev.reduced
     res = ev.solution
-    x = normalized_x(red.rho_a, n)
-    lhs = (res.p_success - 1.0 / n) ** 2 + x**2
+    lhs = (res.p_success - 1.0 / n) ** 2 + ev.x**2
     rhs = (1.0 - 1.0 / n) ** 2
-    comps = {"P_s": res.p_success, "X": x, "certificate_gap": res.certificate_gap}
+    comps = {"P_s": res.p_success, "X": ev.x, "certificate_gap": res.certificate_gap}
     return _report(Relation.L1_NO_MEMORY, lhs, rhs, comps, res.certified)
 
 
 def check_two_path_equality(spec: ScenarioSpec | Evaluation) -> DualityReport:
     """N=2 equality via closed-form Helstrom:
     (P_s - 1/2)^2 + X^2 = 1/4 + (1/2)(Tr rho_A^2 - Tr rho_AB^2)."""
-    ev = Evaluation.of(spec)
-    if ev.spec.n != 2:
-        raise ValueError(f"two-path equality needs N = 2, got {ev.spec.n}")
-    red = ev.reduced
+    ev = Evaluation.of(spec, Relation.TWO_PATH_EQUALITY)
     res = helstrom(ev.ensemble)
-    x = normalized_x(red.rho_a, 2)
-    pur_a = purity(red.rho_a)
-    pur_ab = purity(red.rho_ab)
-    lhs = (res.p_success - 0.5) ** 2 + x**2
+    pur_a, pur_ab = ev.purities
+    lhs = (res.p_success - 0.5) ** 2 + ev.x**2
     rhs = 0.25 + 0.5 * (pur_a - pur_ab)
-    comps = {"P_s": res.p_success, "X": x, "purity_A": pur_a, "purity_AB": pur_ab}
+    comps = {"P_s": res.p_success, "X": ev.x, "purity_A": pur_a, "purity_AB": pur_ab}
     return _report(Relation.TWO_PATH_EQUALITY, lhs, rhs, comps, res.certified,
                    equality=True)
 
@@ -178,7 +216,7 @@ def check_mixed_state(spec: ScenarioSpec | Evaluation) -> DualityReport:
 
     The memory dimension of `spec` only purifies the initial particle state.
     """
-    ev = Evaluation.of(spec)
+    ev = Evaluation.of(spec, Relation.MIXED_STATE)
     n = ev.spec.n
     _, rho_a, rho_d = build_mixed_no_memory(ev.spec)
     res = ev.solution
@@ -194,40 +232,30 @@ def check_mixed_state(spec: ScenarioSpec | Evaluation) -> DualityReport:
     return _report(Relation.MIXED_STATE, lhs, rhs, comps, res.certified)
 
 
-def _entropic_sides(ev: Evaluation, m: Povm | None):
-    red = ev.reduced
-    certified = True
-    if m is None:
-        res = ev.solution
-        m = res.povm
-        certified = res.certified
-    info = mutual_information(ev.ensemble, m)
-    c_r = rel_ent_coherence(red.rho_a)
-    h_p = shannon_entropy(red.p)
-    return red, certified, info, c_r, h_p
-
-
 def check_entropic_no_memory(spec: ScenarioSpec | Evaluation,
                              m: Povm | None = None) -> DualityReport:
     """Entropic memoryless relation: I(D:M) + C_r(rho_A) <= H({p_i})."""
-    _, certified, info, c_r, h_p = _entropic_sides(_memoryless(spec), m)
-    comps = {"I_DM": info, "C_r": c_r, "H_p": h_p}
-    return _report(Relation.ENTROPIC_NO_MEMORY, info + c_r, h_p, comps, certified)
+    ev = Evaluation.of(spec, Relation.ENTROPIC_NO_MEMORY)
+    info = mutual_information(ev.ensemble, ev.solution.povm if m is None else m)
+    certified = m is not None or ev.solution.certified
+    comps = {"I_DM": info, "C_r": ev.c_r, "H_p": ev.h_p}
+    return _report(Relation.ENTROPIC_NO_MEMORY, info + ev.c_r, ev.h_p, comps, certified)
 
 
 def check_entropic_memory(spec: ScenarioSpec | Evaluation,
                           m: Povm | None = None) -> DualityReport:
     """Entropic relation with memory: I(D:M) + C_r(rho_A) <= H({p_i}) + S(B|A)."""
-    red, certified, info, c_r, h_p = _entropic_sides(Evaluation.of(spec), m)
-    s_a = von_neumann_entropy(red.rho_a)
-    s_ab = von_neumann_entropy(red.rho_ab)
-    s_d = von_neumann_entropy(red.rho_d)
+    ev = Evaluation.of(spec, Relation.ENTROPIC_MEMORY)
+    info = mutual_information(ev.ensemble, ev.solution.povm if m is None else m)
+    certified = m is not None or ev.solution.certified
+    s_a, s_ab = ev.entropies
+    s_d = von_neumann_entropy(ev.reduced.rho_d)
     # The ABD state is pure, so S(D) = S(AB); a gap means a faulty build.
     if not abs(s_d - s_ab) <= 1e-9:
         raise AssertionError(f"S(D) - S(AB) = {s_d - s_ab:.3e}: the ABD state is not pure")
-    lhs = info + c_r
-    rhs = h_p + (s_ab - s_a)
-    comps = {"I_DM": info, "C_r": c_r, "H_p": h_p, "S_A": s_a, "S_AB": s_ab,
+    lhs = info + ev.c_r
+    rhs = ev.h_p + (s_ab - s_a)
+    comps = {"I_DM": info, "C_r": ev.c_r, "H_p": ev.h_p, "S_A": s_a, "S_AB": s_ab,
              "S_cond_BA": s_ab - s_a}
     return _report(Relation.ENTROPIC_MEMORY, lhs, rhs, comps, certified)
 
@@ -236,19 +264,15 @@ def check_accessible_relation(spec: ScenarioSpec | Evaluation) -> DualityReport:
     """Acc(D) + C_r(rho_A) <= H({p_i}) + S(B|A) at the computed lower bound on
     Acc(D). Holevo's bound puts every I(D:M) at most chi, so a bound above
     chi + INEQ_TOL means a faulty search."""
-    ev = Evaluation.of(spec)
-    red = ev.reduced
+    ev = Evaluation.of(spec, Relation.ACCESSIBLE)
     acc = ev.acc_lower
-    c_r = rel_ent_coherence(red.rho_a)
-    h_p = shannon_entropy(red.p)
-    s_a = von_neumann_entropy(red.rho_a)
-    s_ab = von_neumann_entropy(red.rho_ab)
     chi = holevo(ev.ensemble)
     if not acc <= chi + INEQ_TOL:
         raise AssertionError(f"Acc_lower - holevo = {acc - chi:.3e}: above Holevo's bound")
-    lhs = acc + c_r
-    rhs = h_p + (s_ab - s_a)
-    comps = {"Acc_lower": acc, "C_r": c_r, "H_p": h_p, "holevo": chi,
+    s_a, s_ab = ev.entropies
+    lhs = acc + ev.c_r
+    rhs = ev.h_p + (s_ab - s_a)
+    comps = {"Acc_lower": acc, "C_r": ev.c_r, "H_p": ev.h_p, "holevo": chi,
              "S_cond_BA": s_ab - s_a}
     return _report(Relation.ACCESSIBLE, lhs, rhs, comps, True)
 
@@ -339,14 +363,3 @@ def check_two_particle_sum(tp: TwoParticleScenario) -> DualityReport:
              "purity_AB_both": pur_ab_both}
     certified = res_a.certified and res_b.certified
     return _report(Relation.TWO_PARTICLE_SUM, lhs, rhs, comps, certified)
-
-
-def entanglement_witnesses(rho_ab: np.ndarray, dims: Dims) -> tuple[float, float]:
-    """(purity witness, conditional-entropy witness); negative values certify
-    entanglement of the bipartite state."""
-    if len(dims.names) != 2:
-        raise ValueError(f"expected bipartite dims, got {dims.names}")
-    rho_a = partial_trace(rho_ab, dims, dims.names[0])
-    purity_witness = purity(rho_a) - purity(rho_ab)
-    cond_ent = von_neumann_entropy(rho_ab) - von_neumann_entropy(rho_a)
-    return purity_witness, cond_ent

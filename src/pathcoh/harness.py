@@ -16,24 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import duality
 from .discrimination import Ensemble, accessible_info_lower, min_error_solve_block
-from .duality import (
-    DualityReport,
-    Evaluation,
-    Relation,
-    TwoParticleScenario,
-    check_accessible_relation,
-    check_entropic_memory,
-    check_entropic_no_memory,
-    check_l1_memory,
-    check_l1_no_memory,
-    check_mixed_state,
-    check_two_particle_sum,
-    check_two_path_equality,
-    entanglement_witnesses,
-)
-from .interferometer import ScenarioSpec, gram_to_states, scenario_reduced
-from .linalg import Dims
+from .duality import CHECKS, DualityReport, Evaluation, Relation, TwoParticleScenario, applies
+from .interferometer import ScenarioSpec, gram_to_states
 from .sampling import haar_state, sample_scenario, subseed
 
 CSV_HEADER = "scenario_id,relation,n,d_b,lhs,rhs,slack,satisfied,certified,ms"
@@ -149,6 +135,8 @@ class SweepConfig:
             raise ValueError(f"every N must be >= 2, got {self.n_values}")
         if not self.d_b_values or any(d < 1 for d in self.d_b_values):
             raise ValueError(f"every d_B must be >= 1, got {self.d_b_values}")
+        if self.d_d is not None and self.d_d < 1:
+            raise ValueError(f"d_D must be >= 1, got {self.d_d}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
 
@@ -182,14 +170,7 @@ DEFAULT_RELATIONS = (
 
 
 def applicable_relations(relations, n: int, d_b: int) -> list[Relation]:
-    out = []
-    for r in relations:
-        if r in (Relation.L1_NO_MEMORY, Relation.ENTROPIC_NO_MEMORY) and d_b != 1:
-            continue
-        if r is Relation.TWO_PATH_EQUALITY and n != 2:
-            continue
-        out.append(Relation(r))
-    return out
+    return [Relation(r) for r in relations if applies(Relation(r), n, d_b)]
 
 
 def sample_two_particle(rng, n: int, d_d: int | None = None) -> TwoParticleScenario:
@@ -202,25 +183,9 @@ def sample_two_particle(rng, n: int, d_d: int | None = None) -> TwoParticleScena
 
 def run_relation(relation: Relation, spec) -> DualityReport:
     """Evaluate one relation on a ScenarioSpec, an Evaluation of one (which
-    shares its reduced states and solve between calls), or a
-    TwoParticleScenario."""
-    if relation is Relation.TWO_PARTICLE_SUM:
-        return check_two_particle_sum(spec)
-    if relation is Relation.L1_MEMORY:
-        return check_l1_memory(spec)
-    if relation is Relation.L1_NO_MEMORY:
-        return check_l1_no_memory(spec)
-    if relation is Relation.TWO_PATH_EQUALITY:
-        return check_two_path_equality(spec)
-    if relation is Relation.MIXED_STATE:
-        return check_mixed_state(spec)
-    if relation is Relation.ENTROPIC_MEMORY:
-        return check_entropic_memory(spec)
-    if relation is Relation.ENTROPIC_NO_MEMORY:
-        return check_entropic_no_memory(spec)
-    if relation is Relation.ACCESSIBLE:
-        return check_accessible_relation(spec)
-    raise ValueError(f"relation {relation} is not sweepable")
+    shares its quantities between calls), or a TwoParticleScenario; raises
+    duality.NotApplicable where the relation does not apply."""
+    return getattr(duality, CHECKS[relation])(spec)
 
 
 # A sweep evaluates each cell's scenarios in blocks of at most this many; a
@@ -368,10 +333,10 @@ def emit(rows: list[SweepRow], fmt: str, path) -> None:
 
 def witness_report(spec: ScenarioSpec) -> dict:
     """Both entanglement witnesses of the particle-memory state."""
-    red = scenario_reduced(spec)
-    dims = Dims.of(("A", spec.n), ("B", spec.d_b))
-    pur_w, cond_w = entanglement_witnesses(red.rho_ab, dims)
-    return {"purity_witness": pur_w, "cond_ent_witness": cond_w}
+    ev = Evaluation(spec)
+    pur_a, pur_ab = ev.purities
+    s_a, s_ab = ev.entropies
+    return {"purity_witness": pur_a - pur_ab, "cond_ent_witness": s_ab - s_a}
 
 
 def default_out_dir() -> Path:

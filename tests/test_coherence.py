@@ -2,18 +2,14 @@ import numpy as np
 import pytest
 
 from pathcoh.coherence import (
-    CoherenceSummary,
     coherence_loss_bounds,
-    conditional_entropy,
     l1_coherence,
     normalized_x,
     rel_ent_coherence,
 )
 from pathcoh.interferometer import ScenarioSpec, scenario_reduced
-from pathcoh.linalg import Dims, kron, shannon_entropy, von_neumann_entropy
+from pathcoh.linalg import shannon_entropy, von_neumann_entropy
 from pathcoh.sampling import sample_scenario
-
-RNG = np.random.default_rng(31)
 
 
 def max_coherent(n):
@@ -106,32 +102,6 @@ class TestRelEntCoherence:
             assert rel_ent_coherence(rho) >= -1e-10
 
 
-class TestConditionalEntropy:
-    def test_product_state(self):
-        ra = random_density(RNG, 2)
-        rb = random_density(RNG, 3)
-        dims = Dims.of(("A", 2), ("B", 3))
-        got = conditional_entropy(kron(ra, rb), dims)
-        assert got == pytest.approx(von_neumann_entropy(rb), abs=1e-9)
-
-    def test_bell_state(self):
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1 / np.sqrt(2)
-        rho = np.outer(bell, bell.conj())
-        assert conditional_entropy(rho, Dims.of(("A", 2), ("B", 2))) == pytest.approx(
-            -1.0, abs=1e-9)
-
-    def test_separable_mixtures_nonnegative(self):
-        dims = Dims.of(("A", 2), ("B", 2))
-        for s in range(50):
-            rng = np.random.default_rng(s)
-            rho = np.zeros((4, 4), dtype=complex)
-            w = rng.dirichlet(np.ones(4))
-            for k in range(4):
-                rho += w[k] * kron(random_density(rng, 2), random_density(rng, 2))
-            assert conditional_entropy(rho, dims) >= -1e-9
-
-
 class TestCoherenceLossBounds:
     def test_product_memory_no_loss(self):
         for s in range(10):
@@ -162,15 +132,3 @@ class TestCoherenceLossBounds:
             spec = sample_scenario(s, 3, 2)
             delta, _, _ = coherence_loss_bounds(spec)
             assert delta >= -1e-9
-
-
-class TestCoherenceSummary:
-    def test_consistency_identity(self):
-        for s in range(50):
-            spec = sample_scenario(s, 4, 2)
-            red = scenario_reduced(spec)
-            summ = CoherenceSummary.of(red.rho_a)
-            assert summ.c_rel_ent == pytest.approx(summ.shannon_p - summ.s_rho,
-                                                   abs=1e-10)
-            assert summ.c_l1 <= spec.n - 1 + 1e-9
-            assert 0 <= summ.x_normalized <= 1 - 1 / spec.n + 1e-9

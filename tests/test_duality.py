@@ -16,10 +16,10 @@ from pathcoh.duality import (
     check_mixed_state,
     check_two_particle_sum,
     check_two_path_equality,
-    entanglement_witnesses,
 )
+from pathcoh.harness import witness_report
 from pathcoh.interferometer import ScenarioSpec, scenario_reduced
-from pathcoh.linalg import Dims, kron
+from pathcoh.linalg import Dims, partial_trace, purity, von_neumann_entropy
 from pathcoh.sampling import haar_state, sample_scenario
 
 
@@ -69,11 +69,8 @@ class TestL1Memory:
         for s in range(100):
             n = 2 + s % 3
             spec = sample_scenario(s, n, 2)
-            red = scenario_reduced(spec)
-            dims = Dims.of(("A", n), ("B", spec.d_b))
-            pw, _ = entanglement_witnesses(red.rho_ab, dims)
             rep = check_l1_memory(spec)
-            if pw < -1e-6:
+            if witness_report(spec)["purity_witness"] < -1e-6:
                 assert rep.rhs < (1 - 1 / n) ** 2 - 1e-8
 
 
@@ -251,39 +248,36 @@ class TestTwoParticleSum:
 
 class TestWitnesses:
     def test_bell_state(self):
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1 / np.sqrt(2)
-        rho = np.outer(bell, bell.conj())
-        pw, cw = entanglement_witnesses(rho, Dims.of(("A", 2), ("B", 2)))
-        assert pw == pytest.approx(-0.5, abs=1e-12)
-        assert cw == pytest.approx(-1.0, abs=1e-9)
+        rep = witness_report(bell_identical_detectors())
+        assert rep["purity_witness"] == pytest.approx(-0.5, abs=1e-12)
+        assert rep["cond_ent_witness"] == pytest.approx(-1.0, abs=1e-9)
 
     def test_product_state_nonnegative(self):
+        # a_ij = alpha_i beta_j leaves the memory in a product with the rest.
         rng = np.random.default_rng(8)
         for _ in range(20):
-            va, vb = haar_state(rng, 2), haar_state(rng, 3)
-            rho = kron(np.outer(va, va.conj()), np.outer(vb, vb.conj()))
-            w = rng.dirichlet(np.ones(2))
-            mixed = w[0] * rho + w[1] * kron(np.eye(2) / 2, np.eye(3) / 3)
-            pw, cw = entanglement_witnesses(mixed, Dims.of(("A", 2), ("B", 3)))
-            assert pw >= -1e-9 and cw >= -1e-9
+            amps = np.outer(haar_state(rng, 2), haar_state(rng, 3))
+            rep = witness_report(ScenarioSpec(amps, [haar_state(rng, 2) for _ in range(2)]))
+            assert rep["purity_witness"] >= -1e-9 and rep["cond_ent_witness"] >= -1e-9
 
     def test_separable_mixtures_nonnegative(self):
-        dims = Dims.of(("A", 2), ("B", 2))
+        # Orthonormal detector states leave rho_AB = sum_i p_i |i><i| (x) |u_i><u_i|.
         for s in range(50):
             rng = np.random.default_rng(s)
-            rho = np.zeros((4, 4), dtype=complex)
-            w = rng.dirichlet(np.ones(3))
-            for k in range(3):
-                va, vb = haar_state(rng, 2), haar_state(rng, 2)
-                rho += w[k] * kron(np.outer(va, va.conj()), np.outer(vb, vb.conj()))
-            pw, cw = entanglement_witnesses(rho, dims)
-            assert pw >= -1e-9 and cw >= -1e-9
+            amps = haar_state(rng, 4).reshape(2, 2)
+            rep = witness_report(ScenarioSpec(amps, np.eye(2, dtype=complex)))
+            assert rep["purity_witness"] >= -1e-9 and rep["cond_ent_witness"] >= -1e-9
 
-    def test_rejects_non_bipartite(self):
-        with pytest.raises(ValueError):
-            entanglement_witnesses(np.eye(8) / 8,
-                                   Dims.of(("A", 2), ("B", 2), ("C", 2)))
+    def test_equals_the_partial_trace_of_rho_ab(self):
+        # rho_A from the reduced set is bitwise the partial trace of rho_AB, so
+        # `pathcoh witness` prints what a full partial trace gives.
+        for s in range(60):
+            spec = sample_scenario(s, 2 + s % 3, 1 + s % 4, 2 + s % 2)
+            rho_ab = scenario_reduced(spec).rho_ab
+            rho_a = partial_trace(rho_ab, Dims.of(("A", spec.n), ("B", spec.d_b)), "A")
+            assert witness_report(spec) == {
+                "purity_witness": purity(rho_a) - purity(rho_ab),
+                "cond_ent_witness": von_neumann_entropy(rho_ab) - von_neumann_entropy(rho_a)}
 
 
 class TestReportShape:

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pathcoh import cli, discrimination, duality, harness
+from pathcoh import cli, coherence, discrimination, duality, harness
 from pathcoh.cli import main
 from pathcoh.discrimination import Ensemble
-from pathcoh.duality import Evaluation, Relation, TwoParticleScenario
+from pathcoh.duality import Evaluation, NotApplicable, Relation, TwoParticleScenario, applies
 from pathcoh.harness import (
     BLOCK_SIZE,
     CSV_HEADER,
@@ -177,6 +177,29 @@ class TestApplicableRelations:
         assert Relation.TWO_PATH_EQUALITY in applicable_relations(
             DEFAULT_RELATIONS, 2, 1)
 
+    @pytest.mark.parametrize("n, d_b", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("relation", [r for r in Relation
+                                          if r is not Relation.TWO_PARTICLE_SUM])
+    def test_applies_exactly_where_the_checker_reports(self, relation, n, d_b):
+        spec = sample_scenario(subseed(17, n, d_b), n, d_b)
+        if applies(relation, n, d_b):
+            assert run_relation(relation, spec).relation_id is relation
+        else:
+            with pytest.raises(NotApplicable):
+                run_relation(relation, spec)
+
+    @pytest.mark.parametrize("n, d_b", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_applicable_relations_is_the_filter(self, n, d_b):
+        ev = Evaluation(sample_scenario(subseed(17, n, d_b), n, d_b))
+        reported = []
+        for relation in DEFAULT_RELATIONS:
+            try:
+                run_relation(relation, ev)
+            except NotApplicable:
+                continue
+            reported.append(relation)
+        assert applicable_relations(DEFAULT_RELATIONS, n, d_b) == reported
+
 
 class TestRunSweep:
     def test_two_path_equality_rows(self):
@@ -281,12 +304,19 @@ class TestSharedEvaluation:
         _count_calls(monkeypatch, calls, duality, "min_error_solve")
         _count_calls(monkeypatch, calls, discrimination, "min_error_solve")
         _count_calls(monkeypatch, calls, harness, "min_error_solve_block")
+        _count_calls(monkeypatch, calls, duality, "rel_ent_coherence")
+        for module in (duality, coherence, discrimination):
+            _count_calls(monkeypatch, calls, module, "von_neumann_entropy")
         rows = harness._eval_task(cfg, 0, 0)
         assert len(rows) == 6
         assert calls.count("scenario_reduced") == 1
         # One block solve of one; ACCESSIBLE reads its POVM too.
         assert calls.count("min_error_solve_block") == 1
         assert calls.count("min_error_solve") == 0
+        # C_r(rho_A) once; S(rho_A) inside it, S(A) and S(AB) shared, S(D) for
+        # the purity check, and the Holevo quantity.
+        assert calls.count("rel_ent_coherence") == 1
+        assert calls.count("von_neumann_entropy") == 5
 
     def test_sweep_matches_one_fresh_check_per_relation(self):
         cfg = SweepConfig(seed=23, count=2, n_values=(2, 3), d_b_values=(1, 2))
@@ -615,12 +645,41 @@ class TestCli:
 
     def test_check_value_error_stays_input_error(self, tmp_path, monkeypatch):
         def failing(rel, obj):
-            raise ValueError("memoryless relation needs d_B = 1, got 2")
+            raise NotApplicable("memoryless relation needs d_B = 1, got 2")
 
         monkeypatch.setattr(cli, "run_relation", failing)
         res = self.run("check", str(write_doc(tmp_path, SCENARIO_DOC)))
         assert res.exit_code == 2
         assert "internal error" not in res.output
+
+    def test_check_value_error_inside_a_relation_exits_4(self, tmp_path, monkeypatch):
+        # Only NotApplicable says the relation does not apply; any other
+        # ValueError on a valid file is a fault.
+        def failing(e, m):
+            raise ValueError("POVM elements must sum to the identity")
+
+        monkeypatch.setattr(duality, "mutual_information", failing)
+        res = self.run("check", str(write_doc(tmp_path, SCENARIO_DOC)),
+                       "--relation", "ENTROPIC_NO_MEMORY")
+        assert res.exit_code == 4
+        assert res.output == ("internal error: ENTROPIC_NO_MEMORY: ValueError: "
+                              "POVM elements must sum to the identity\n")
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_check_refuses_a_tolerance_not_finite_and_nonnegative(self, tmp_path, tol):
+        res = self.run("check", str(write_doc(tmp_path, SCENARIO_DOC)), "--tol", tol)
+        assert res.exit_code == 2
+        assert res.output.startswith("error: --tol must be finite and >= 0")
+        assert "PASS" not in res.output and "FAIL" not in res.output
+
+    @pytest.mark.parametrize("dd", ["0", "-1"])
+    def test_sweep_refuses_a_detector_dimension_below_1(self, tmp_path, dd):
+        res = self.run("sweep", "--seed", "1", "--count", "1", "--n", "3", "--db", "1",
+                       "--dd", dd, "--out", str(tmp_path / "x.csv"))
+        assert res.exit_code == 2
+        assert res.output == f"error: d_D must be >= 1, got {dd}\n"
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert not (tmp_path / "x.csv").exists()
 
     def test_sweep_csv_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
