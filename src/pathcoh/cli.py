@@ -124,6 +124,8 @@ def check(scenario_file, relations, tol):
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
 def sweep(seed, count, n_list, db_list, dd, relations, jobs, out_path, fmt):
     """Run a randomized verification sweep and write a report file."""
+    if jobs < 1:
+        _fail(2, f"error: --jobs must be >= 1, got {jobs}")
     try:
         config = SweepConfig(
             seed=seed, count=count,

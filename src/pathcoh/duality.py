@@ -5,7 +5,7 @@ The ABD state is pure, so S(D) = S(AB) and chi + C_r(rho_A) = H(p) + S(B|A).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -21,13 +21,7 @@ from .discrimination import (
     min_error_solve,
     mutual_information,
 )
-from .interferometer import (
-    ReducedSet,
-    ScenarioSpec,
-    build_mixed_no_memory,
-    gram_matrix,
-    scenario_reduced,
-)
+from .interferometer import ReducedSet, ScenarioSpec, scenario_reduced
 from .linalg import purity, shannon_entropy, von_neumann_entropy
 
 INEQ_TOL = 1e-7
@@ -152,6 +146,11 @@ class Evaluation:
         return accessible_info_lower(self.ensemble, self.solution.povm)
 
     @cached_property
+    def info(self) -> float:
+        """I(D:M) at the min-error POVM."""
+        return mutual_information(self.ensemble, self.solution.povm)
+
+    @cached_property
     def x(self) -> float:
         return normalized_x(self.reduced.rho_a, self.spec.n)
 
@@ -214,20 +213,21 @@ def check_two_path_equality(spec: ScenarioSpec | Evaluation) -> DualityReport:
 def check_mixed_state(spec: ScenarioSpec | Evaluation) -> DualityReport:
     """Mixed initial state, no memory: rhs uses Tr rho_A^2 - Tr rho_D^2.
 
-    The memory dimension of `spec` only purifies the initial particle state.
+    The memory dimension of `spec` only purifies the initial particle state,
+    so the relation reads the P_s, X and Tr rho_A^2 of `L1_MEMORY`.
     """
     ev = Evaluation.of(spec, Relation.MIXED_STATE)
     n = ev.spec.n
-    _, rho_a, rho_d = build_mixed_no_memory(ev.spec)
     res = ev.solution
-    x = normalized_x(rho_a, n)
-    pur_a = purity(rho_a)
-    pur_d = purity(rho_d)
-    lhs = (res.p_success - 1.0 / n) ** 2 + x**2
+    pur_a, pur_ab = ev.purities
+    pur_d = purity(ev.reduced.rho_d)
+    # The ABD state is pure, so Tr rho_D^2 = Tr rho_AB^2; a gap means a faulty build.
+    if not abs(pur_d - pur_ab) <= 1e-12:
+        raise AssertionError(
+            f"Tr rho_D^2 - Tr rho_AB^2 = {pur_d - pur_ab:.3e}: the ABD state is not pure")
+    lhs = (res.p_success - 1.0 / n) ** 2 + ev.x**2
     rhs = (1.0 - 1.0 / n) ** 2 + 2.0 * (n - 1) / n**2 * (pur_a - pur_d)
-    if rhs > (1.0 - 1.0 / n) ** 2 + 1e-12:
-        raise AssertionError("mixed-state rhs exceeds the memoryless bound")
-    comps = {"P_s": res.p_success, "X": x, "purity_A": pur_a, "purity_D": pur_d,
+    comps = {"P_s": res.p_success, "X": ev.x, "purity_A": pur_a, "purity_D": pur_d,
              "certificate_gap": res.certificate_gap}
     return _report(Relation.MIXED_STATE, lhs, rhs, comps, res.certified)
 
@@ -236,7 +236,7 @@ def check_entropic_no_memory(spec: ScenarioSpec | Evaluation,
                              m: Povm | None = None) -> DualityReport:
     """Entropic memoryless relation: I(D:M) + C_r(rho_A) <= H({p_i})."""
     ev = Evaluation.of(spec, Relation.ENTROPIC_NO_MEMORY)
-    info = mutual_information(ev.ensemble, ev.solution.povm if m is None else m)
+    info = ev.info if m is None else mutual_information(ev.ensemble, m)
     certified = m is not None or ev.solution.certified
     comps = {"I_DM": info, "C_r": ev.c_r, "H_p": ev.h_p}
     return _report(Relation.ENTROPIC_NO_MEMORY, info + ev.c_r, ev.h_p, comps, certified)
@@ -246,7 +246,7 @@ def check_entropic_memory(spec: ScenarioSpec | Evaluation,
                           m: Povm | None = None) -> DualityReport:
     """Entropic relation with memory: I(D:M) + C_r(rho_A) <= H({p_i}) + S(B|A)."""
     ev = Evaluation.of(spec, Relation.ENTROPIC_MEMORY)
-    info = mutual_information(ev.ensemble, ev.solution.povm if m is None else m)
+    info = ev.info if m is None else mutual_information(ev.ensemble, m)
     certified = m is not None or ev.solution.certified
     s_a, s_ab = ev.entropies
     s_d = von_neumann_entropy(ev.reduced.rho_d)
@@ -283,31 +283,33 @@ class TwoParticleScenario:
 
     amplitudes: (N, N) joint table c_ij of the initial AB pure state.
     detector_a / detector_b: per-side detector states (N rows each).
+
+    Each particle's memory is the other particle with its detector, whose
+    coupling is a unitary on that memory. So particle A's reduced states are
+    those of `ScenarioSpec(c, detector_a)`, and B's of
+    `ScenarioSpec(c.T, detector_b)`: the two `sides`.
     """
 
     amplitudes: np.ndarray
     detector_a: np.ndarray
     detector_b: np.ndarray
+    sides: tuple[ScenarioSpec, ScenarioSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.amplitudes, dtype=complex)
-        da = np.asarray(self.detector_a, dtype=complex)
-        db = np.asarray(self.detector_b, dtype=complex)
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 2:
             raise ValueError(f"joint amplitudes must be N x N, N >= 2, got {c.shape}")
-        if not all(np.isfinite(x).all() for x in (c, da, db)):
-            raise ValueError("amplitudes and detector states must be finite")
-        if abs(float(np.sum(np.abs(c) ** 2)) - 1.0) > 1e-9:
-            raise ValueError("joint amplitudes not normalized")
-        n = c.shape[0]
-        for name, d in (("detector_a", da), ("detector_b", db)):
-            if d.ndim != 2 or d.shape[0] != n:
-                raise ValueError(f"{name} must have one state per path")
-            if np.max(np.abs(np.linalg.norm(d, axis=1) - 1.0)) > 1e-9:
-                raise ValueError(f"{name} states must be unit vectors")
-        object.__setattr__(self, "amplitudes", c)
-        object.__setattr__(self, "detector_a", da)
-        object.__setattr__(self, "detector_b", db)
+        sides = []
+        for name, amps, detector in (("detector_a", c, self.detector_a),
+                                     ("detector_b", c.T, self.detector_b)):
+            try:
+                sides.append(ScenarioSpec(amps, detector))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+        object.__setattr__(self, "amplitudes", sides[0].amplitudes)
+        object.__setattr__(self, "detector_a", sides[0].detector_states)
+        object.__setattr__(self, "detector_b", sides[1].detector_states)
+        object.__setattr__(self, "sides", tuple(sides))
 
     @property
     def n(self) -> int:
@@ -317,49 +319,22 @@ class TwoParticleScenario:
 def check_two_particle_sum(tp: TwoParticleScenario) -> DualityReport:
     """Sum of the main relation over both particles.
 
-    Each particle's purity term is the one appearing in its own relation:
-    Tr rho_X^2 - Tr rho_{X,mem}^2 where rho_{X,mem} is the particle-plus-
-    memory state with only that particle's detector traced out (equal to
-    the purity of that detector's reduced state). The both-detector
+    Each side is the relation the paper states at that N for the particle's
+    own scenario: the two-path equality at N = 2, `L1_MEMORY` otherwise. So a
+    particle's purity term is Tr rho_X^2 - Tr rho_{X,mem}^2, where
+    rho_{X,mem} leaves out only that particle's detector. The both-detector
     Tr rho_AB^2 is recorded in the components for reference.
     """
-    c = tp.amplitudes
-    n = tp.n
-    p_a = np.sum(np.abs(c) ** 2, axis=1)
-    p_b = np.sum(np.abs(c) ** 2, axis=0)
-    g_a = gram_matrix(tp.detector_a)
-    g_b = gram_matrix(tp.detector_b)
-
-    # Reduced particle states after both detector couplings.
-    rho_a = (c @ c.conj().T) * g_a.T
-    rho_b = (c.T @ c.conj()) * g_b.T
-
-    ens_a = Ensemble(p_a, tp.detector_a)
-    ens_b = Ensemble(p_b, tp.detector_b)
-    if n == 2:
-        res_a, res_b = helstrom(ens_a), helstrom(ens_b)
-    else:
-        res_a, res_b = min_error_solve(ens_a), min_error_solve(ens_b)
-
-    x_a = normalized_x(rho_a, n)
-    x_b = normalized_x(rho_b, n)
-    pur_a = purity(rho_a)
-    pur_b = purity(rho_b)
-    # Per-particle memory purity = purity of that particle's detector state.
-    pur_mem_a = float(np.einsum("i,j,ij->", p_a, p_a, np.abs(g_a) ** 2).real)
-    pur_mem_b = float(np.einsum("i,j,ij->", p_b, p_b, np.abs(g_b) ** 2).real)
+    check = check_two_path_equality if tp.n == 2 else check_l1_memory
+    rep_a, rep_b = (check(Evaluation(side)) for side in tp.sides)
+    a, b = rep_a.components, rep_b.components
     # Both-detector AB purity, for reference only.
-    w = np.abs(c) ** 2
-    pur_ab_both = float(np.einsum("ij,kl,ik,jl->", w, w,
-                                  np.abs(g_a) ** 2, np.abs(g_b) ** 2).real)
-
-    lhs = ((res_a.p_success - 1.0 / n) ** 2 + (res_b.p_success - 1.0 / n) ** 2
-           + x_a**2 + x_b**2)
-    rhs = (2.0 * (1.0 - 1.0 / n) ** 2
-           + 2.0 * (n - 1) / n**2 * (pur_a + pur_b - pur_mem_a - pur_mem_b))
-    comps = {"P_s_A": res_a.p_success, "P_s_B": res_b.p_success,
-             "X_A": x_a, "X_B": x_b, "purity_A": pur_a, "purity_B": pur_b,
-             "purity_mem_A": pur_mem_a, "purity_mem_B": pur_mem_b,
+    w = np.abs(tp.amplitudes) ** 2
+    g_a, g_b = (np.abs(d.conj() @ d.T) ** 2 for d in (tp.detector_a, tp.detector_b))
+    pur_ab_both = float(np.einsum("ij,kl,ik,jl->", w, w, g_a, g_b).real)
+    comps = {"P_s_A": a["P_s"], "P_s_B": b["P_s"], "X_A": a["X"], "X_B": b["X"],
+             "purity_A": a["purity_A"], "purity_B": b["purity_A"],
+             "purity_mem_A": a["purity_AB"], "purity_mem_B": b["purity_AB"],
              "purity_AB_both": pur_ab_both}
-    certified = res_a.certified and res_b.certified
-    return _report(Relation.TWO_PARTICLE_SUM, lhs, rhs, comps, certified)
+    return _report(Relation.TWO_PARTICLE_SUM, rep_a.lhs + rep_b.lhs, rep_a.rhs + rep_b.rhs,
+                   comps, rep_a.solver_certified and rep_b.solver_certified)

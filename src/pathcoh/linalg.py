@@ -142,11 +142,11 @@ def purity(rho: np.ndarray) -> float:
 
 def clip_spectrum(w: np.ndarray) -> np.ndarray:
     """Clip eigenvalues in [-PSD_TOL, 0) to 0; anything below -PSD_TOL is an
-    error, and FloatingPointError reports NaN or -Infinity."""
+    error, and FloatingPointError reports NaN or Infinity."""
     w = np.asarray(w, dtype=float)
-    lo = float(w.min()) if w.size else 0.0
-    if not lo >= -PSD_TOL:
-        if not math.isfinite(lo):
+    lo, hi = (float(w.min()), float(w.max())) if w.size else (0.0, 0.0)
+    if not (lo >= -PSD_TOL and hi < math.inf):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise FloatingPointError("spectrum has non-finite entries")
         raise ValueError(f"genuinely negative eigenvalue {lo:.3e} (below -{PSD_TOL:.0e})")
     return np.clip(w, 0.0, None)

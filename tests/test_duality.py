@@ -1,9 +1,11 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pathcoh.discrimination import Ensemble, min_error_solve
+from pathcoh.coherence import normalized_x
+from pathcoh.discrimination import Ensemble, helstrom, min_error_solve
 from pathcoh.duality import (
     Evaluation,
     Relation,
@@ -17,10 +19,15 @@ from pathcoh.duality import (
     check_two_particle_sum,
     check_two_path_equality,
 )
-from pathcoh.harness import witness_report
-from pathcoh.interferometer import ScenarioSpec, scenario_reduced
+from pathcoh.harness import ScenarioParseError, parse_scenario, to_pairs, witness_report
+from pathcoh.interferometer import (
+    ScenarioSpec,
+    build_mixed_no_memory,
+    gram_matrix,
+    scenario_reduced,
+)
 from pathcoh.linalg import Dims, partial_trace, purity, von_neumann_entropy
-from pathcoh.sampling import haar_state, sample_scenario
+from pathcoh.sampling import haar_state, sample_scenario, subseed
 
 
 def bell_identical_detectors():
@@ -123,6 +130,35 @@ class TestMixedState:
             rep = check_mixed_state(sample_scenario(s, 2, 1 + s % 4))
             assert abs(rep.slack) <= 1e-8, (s, rep.slack)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_its_oracle_and_l1_memory(self, n):
+        # The memory purifies rho^0_A, so the relation is L1_MEMORY with
+        # Tr rho_D^2 = Tr rho_AB^2; build_mixed_no_memory rebuilds rho_A and
+        # rho_D on their own.
+        for d_b in range(1, 5):
+            for d_d in sorted({n, 2}):
+                for i in range(2):
+                    spec = sample_scenario(subseed(18, n, d_b, d_d, i), n, d_b, d_d)
+                    rep = check_mixed_state(spec)
+                    main = check_l1_memory(spec)
+                    _, rho_a, rho_d = build_mixed_no_memory(spec)
+                    p_s = rep.components["P_s"]
+                    lhs = (p_s - 1 / n) ** 2 + normalized_x(rho_a, n) ** 2
+                    rhs = (1 - 1 / n) ** 2 + 2 * (n - 1) / n**2 * (purity(rho_a) - purity(rho_d))
+                    for want_lhs, want_rhs in ((lhs, rhs), (main.lhs, main.rhs)):
+                        assert abs(rep.lhs - want_lhs) <= 1e-15, (d_b, d_d, i)
+                        assert abs(rep.rhs - want_rhs) <= 1e-15, (d_b, d_d, i)
+
+    def test_impure_abd_build_is_an_internal_error(self):
+        # Tr rho_D^2 = Tr rho_AB^2 holds for every pure ABD state; a rho_D
+        # from another state must fail the check, whatever the verdict.
+        spec = sample_scenario(3, 3, 2)
+        ev = Evaluation(spec)
+        ev.reduced = replace(ev.reduced, rho_d=np.eye(3, dtype=complex) / 3)
+        with pytest.raises(AssertionError, match="the ABD state is not pure"):
+            check_mixed_state(ev)
+        assert check_mixed_state(spec).satisfied
+
 
 class TestEntropic:
     def test_orthonormal_detectors_no_memory_saturates(self):
@@ -200,6 +236,36 @@ def random_two_particle(seed, n, d_d=None):
     return TwoParticleScenario(c, da, db)
 
 
+def two_particle_oracle(tp):
+    """lhs, rhs and components of the two-particle sum from the closed-form
+    reduced states of each particle, solved on its own."""
+    c, n = tp.amplitudes, tp.n
+    p_a = np.sum(np.abs(c) ** 2, axis=1)
+    p_b = np.sum(np.abs(c) ** 2, axis=0)
+    g_a, g_b = gram_matrix(tp.detector_a), gram_matrix(tp.detector_b)
+    rho_a = (c @ c.conj().T) * g_a.T
+    rho_b = (c.T @ c.conj()) * g_b.T
+    solve = helstrom if n == 2 else min_error_solve
+    res_a, res_b = solve(Ensemble(p_a, tp.detector_a)), solve(Ensemble(p_b, tp.detector_b))
+    x_a, x_b = normalized_x(rho_a, n), normalized_x(rho_b, n)
+    pur_a, pur_b = purity(rho_a), purity(rho_b)
+    # A particle's memory purity is that of its detector state.
+    pur_mem_a = float(np.einsum("i,j,ij->", p_a, p_a, np.abs(g_a) ** 2).real)
+    pur_mem_b = float(np.einsum("i,j,ij->", p_b, p_b, np.abs(g_b) ** 2).real)
+    w = np.abs(c) ** 2
+    pur_ab_both = float(np.einsum("ij,kl,ik,jl->", w, w,
+                                  np.abs(g_a) ** 2, np.abs(g_b) ** 2).real)
+    lhs = ((res_a.p_success - 1.0 / n) ** 2 + (res_b.p_success - 1.0 / n) ** 2
+           + x_a**2 + x_b**2)
+    rhs = (2.0 * (1.0 - 1.0 / n) ** 2
+           + 2.0 * (n - 1) / n**2 * (pur_a + pur_b - pur_mem_a - pur_mem_b))
+    comps = {"P_s_A": res_a.p_success, "P_s_B": res_b.p_success,
+             "X_A": x_a, "X_B": x_b, "purity_A": pur_a, "purity_B": pur_b,
+             "purity_mem_A": pur_mem_a, "purity_mem_B": pur_mem_b,
+             "purity_AB_both": pur_ab_both}
+    return lhs, rhs, comps
+
+
 class TestTwoParticleSum:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -231,6 +297,40 @@ class TestTwoParticleSum:
             rep = check_two_particle_sum(random_two_particle(s, 3))
             assert rep.slack >= -1e-7, (s, rep.slack)
             assert rep.solver_certified
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_is_the_sum_of_each_particles_relation(self, n):
+        # Each particle's memory is the other particle with its detector.
+        check = check_two_path_equality if n == 2 else check_l1_memory
+        for d_d in sorted({2, n}):
+            for s in range(3):
+                tp = random_two_particle(100 * n + 10 * d_d + s, n, d_d)
+                rep = check_two_particle_sum(tp)
+                side_a = check(ScenarioSpec(tp.amplitudes, tp.detector_a))
+                side_b = check(ScenarioSpec(tp.amplitudes.T, tp.detector_b))
+                assert rep.lhs == side_a.lhs + side_b.lhs
+                assert rep.rhs == side_a.rhs + side_b.rhs
+                assert rep.solver_certified == (side_a.solver_certified
+                                                and side_b.solver_certified)
+                lhs, rhs, comps = two_particle_oracle(tp)
+                assert abs(rep.lhs - lhs) <= 1e-15 and abs(rep.rhs - rhs) <= 1e-15, (d_d, s)
+                assert rep.components.keys() == comps.keys()
+                for k, v in comps.items():
+                    assert abs(rep.components[k] - v) <= 1e-15, (d_d, s, k)
+
+    def test_side_errors_name_their_detector(self, tmp_path):
+        tp = random_two_particle(4, 3)
+        with pytest.raises(ValueError, match="^detector_b: detector states must be unit"):
+            TwoParticleScenario(tp.amplitudes, tp.detector_a, 2 * tp.detector_b)
+        with pytest.raises(ValueError, match="^detector_a: need one detector state per path"):
+            TwoParticleScenario(tp.amplitudes, tp.detector_a[:2], tp.detector_b)
+        doc = {"type": "two_particle", "amplitudes": to_pairs(tp.amplitudes),
+               "detector_a": {"vectors": to_pairs(tp.detector_a)},
+               "detector_b": {"vectors": to_pairs(2 * tp.detector_b)}}
+        path = tmp_path / "tp.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioParseError, match="detector_b: detector states"):
+            parse_scenario(path)
 
     def test_detectors_of_different_widths(self):
         # N = 3 with detector A in d = 2 and detector B in d = 3: each side

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pathcoh import cli, coherence, discrimination, duality, harness
+from pathcoh import cli, coherence, discrimination, duality, harness, interferometer
 from pathcoh.cli import main
 from pathcoh.discrimination import Ensemble
 from pathcoh.duality import Evaluation, NotApplicable, Relation, TwoParticleScenario, applies
@@ -307,6 +307,8 @@ class TestSharedEvaluation:
         _count_calls(monkeypatch, calls, duality, "rel_ent_coherence")
         for module in (duality, coherence, discrimination):
             _count_calls(monkeypatch, calls, module, "von_neumann_entropy")
+        _count_calls(monkeypatch, calls, duality, "mutual_information")
+        _count_calls(monkeypatch, calls, interferometer, "build_mixed_no_memory")
         rows = harness._eval_task(cfg, 0, 0)
         assert len(rows) == 6
         assert calls.count("scenario_reduced") == 1
@@ -317,6 +319,10 @@ class TestSharedEvaluation:
         # the purity check, and the Holevo quantity.
         assert calls.count("rel_ent_coherence") == 1
         assert calls.count("von_neumann_entropy") == 5
+        # I(D:M) at the min-error POVM once, for both entropic relations;
+        # MIXED_STATE reads the shared reduced states.
+        assert calls.count("mutual_information") == 1
+        assert calls.count("build_mixed_no_memory") == 0
 
     def test_sweep_matches_one_fresh_check_per_relation(self):
         cfg = SweepConfig(seed=23, count=2, n_values=(2, 3), d_b_values=(1, 2))
@@ -440,11 +446,11 @@ class TestBlockSweep:
 # SHA-256 of reference sweep CSVs; rows must not move unless a change says so.
 REFERENCE_CSVS = [
     (["--seed", "101", "--count", "8", "--n", "2,3,4,5", "--db", "1,2"],
-     "3a21836c993331952d82a88c0ebeda948dd5cf6e0b63d2260c380b138ffaf26d"),
+     "43dd7348fdfbd59f0a17282cdb1a199e58e6937f9bfb16bb2638584310a90b67"),
     (["--seed", "7", "--count", "4", "--n", "2,3,4,5", "--db", "3,4"],
-     "4924de1166ef46a3617fdc793b949c62e3855a9923cc65bf33a0ac03e87e738c"),
+     "8c1f6853265d52a6b5d42a859d695be154cbc566eb057450c5adc7e8a0f411c3"),
     (["--seed", "5", "--count", "3", "--n", "3,4", "--db", "1,2", "--dd", "2"],
-     "d4a8c50dae360f6ff57f57abc5b0a78dc2d16bc7b519f13f8979a4766d47d143"),
+     "46e5843c2870863e27126073fcd686a7767ed1834bcf04bf7b90340cd3583f83"),
     (["--seed", "101", "--count", "41", "--n", "2,3,4,5", "--db", "1,2,3,4",
       "--relation", "L1_MEMORY"],
      "319bf6fa0b20a9817df9b0c19d7bd3410ce52cc70772fcd83c77b16b405e74d4"),
@@ -679,6 +685,14 @@ class TestCli:
         assert res.exit_code == 2
         assert res.output == f"error: d_D must be >= 1, got {dd}\n"
         assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_refuses_fewer_than_one_job(self, tmp_path, jobs):
+        res = self.run("sweep", "--seed", "1", "--count", "1", "--n", "3", "--db", "1",
+                       "--jobs", jobs, "--out", str(tmp_path / "x.csv"))
+        assert res.exit_code == 2
+        assert res.output == f"error: --jobs must be >= 1, got {jobs}\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_sweep_csv_deterministic(self, tmp_path):

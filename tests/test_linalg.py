@@ -252,6 +252,12 @@ class TestPurityEntropy:
             clip_spectrum([-1e-6, 0.5])
         assert clip_spectrum([-1e-12, 0.5]).tolist() == [0.0, 0.5]
 
+    @pytest.mark.parametrize("w", [[np.inf, 0.5], [0.5, np.inf], [0.0, np.inf, np.inf]])
+    def test_clip_spectrum_refuses_infinity_at_the_maximum(self, w):
+        # The minimum is finite here; only the maximum shows the infinity.
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            clip_spectrum(w)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_shannon_entropy_refuses_non_finite(self, bad):
         # `p[p > 0]` would drop a NaN with the zeros and leave a finite entropy.
