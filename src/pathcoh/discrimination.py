@@ -368,15 +368,18 @@ def _certified(probs: np.ndarray, states: np.ndarray, weighted: np.ndarray,
 
 
 def min_error_solve_block(ensembles: list[Ensemble]) -> list[DiscriminationResult]:
-    """Optimal POVM of each ensemble of a list of one shape (n, d), solved on
-    one stack by `_primal_dual`, each result bitwise that of a block of one.
+    """Optimal POVM of each ensemble of a list of one shape (n, d), each
+    result bitwise that of a block of one; the one place the route is chosen.
 
-    The primal-dual measurement lies about SOLVER_TOL below the optimum. One
-    weighted square-root-measurement step from it, with weights
+    Two states take `helstrom`'s closed form (iterations 0). More are solved
+    on one stack by `_primal_dual`, whose POVM lies about SOLVER_TOL below the
+    optimum. One weighted square-root-measurement step from it, with weights
     c_i = p_i^2 <phi_i|Pi_i|phi_i>, usually closes that distance; it is kept
     only when its P_s is higher. The certificate gap is
     Tr Y + d*g(Y) - P_s for the solver's dual operator Y.
     """
+    if ensembles[0].n == 2:
+        return [helstrom(e) for e in ensembles]
     probs, states = _stacked(ensembles)
     weighted = probs[..., None, None] * (states[..., :, None] * states.conj()[..., None, :])
     return _certified(probs, states, weighted, *_primal_dual(probs, weighted))

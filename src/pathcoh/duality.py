@@ -16,7 +16,6 @@ from .discrimination import (
     Ensemble,
     Povm,
     accessible_info_lower,
-    helstrom,
     holevo,
     min_error_solve,
     mutual_information,
@@ -173,41 +172,37 @@ class Evaluation:
         return von_neumann_entropy(self.reduced.rho_a), von_neumann_entropy(self.reduced.rho_ab)
 
 
+def _main_relation(ev: Evaluation, relation: Relation, purity_term: float,
+                   equality: bool = False, **comps: float) -> DualityReport:
+    """(P_s - 1/N)^2 + X^2 against (1-1/N)^2 + 2(N-1)/N^2 purity_term; comps after P_s, X."""
+    n, res = ev.spec.n, ev.solution
+    lhs = (res.p_success - 1.0 / n) ** 2 + ev.x**2
+    rhs = (1.0 - 1.0 / n) ** 2 + 2.0 * (n - 1) / n**2 * purity_term
+    return _report(relation, lhs, rhs, {"P_s": res.p_success, "X": ev.x, **comps},
+                   res.certified, equality=equality)
+
+
 def check_l1_memory(spec: ScenarioSpec | Evaluation) -> DualityReport:
     """Main relation: (P_s - 1/N)^2 + X^2 <= (1-1/N)^2 + 2(N-1)/N^2 (Tr rho_A^2 - Tr rho_AB^2)."""
     ev = Evaluation.of(spec, Relation.L1_MEMORY)
-    n = ev.spec.n
-    res = ev.solution
     pur_a, pur_ab = ev.purities
-    lhs = (res.p_success - 1.0 / n) ** 2 + ev.x**2
-    rhs = (1.0 - 1.0 / n) ** 2 + 2.0 * (n - 1) / n**2 * (pur_a - pur_ab)
-    comps = {"P_s": res.p_success, "X": ev.x, "purity_A": pur_a, "purity_AB": pur_ab,
-             "certificate_gap": res.certificate_gap}
-    return _report(Relation.L1_MEMORY, lhs, rhs, comps, res.certified)
+    return _main_relation(ev, Relation.L1_MEMORY, pur_a - pur_ab, purity_A=pur_a,
+                          purity_AB=pur_ab, certificate_gap=ev.solution.certificate_gap)
 
 
 def check_l1_no_memory(spec: ScenarioSpec | Evaluation) -> DualityReport:
     """Memoryless relation: (P_s - 1/N)^2 + X^2 <= (1-1/N)^2 (requires d_B = 1)."""
     ev = Evaluation.of(spec, Relation.L1_NO_MEMORY)
-    n = ev.spec.n
-    res = ev.solution
-    lhs = (res.p_success - 1.0 / n) ** 2 + ev.x**2
-    rhs = (1.0 - 1.0 / n) ** 2
-    comps = {"P_s": res.p_success, "X": ev.x, "certificate_gap": res.certificate_gap}
-    return _report(Relation.L1_NO_MEMORY, lhs, rhs, comps, res.certified)
+    return _main_relation(ev, Relation.L1_NO_MEMORY, 0.0,
+                          certificate_gap=ev.solution.certificate_gap)
 
 
 def check_two_path_equality(spec: ScenarioSpec | Evaluation) -> DualityReport:
-    """N=2 equality via closed-form Helstrom:
-    (P_s - 1/2)^2 + X^2 = 1/4 + (1/2)(Tr rho_A^2 - Tr rho_AB^2)."""
+    """N=2 equality: (P_s - 1/2)^2 + X^2 = 1/4 + (1/2)(Tr rho_A^2 - Tr rho_AB^2)."""
     ev = Evaluation.of(spec, Relation.TWO_PATH_EQUALITY)
-    res = helstrom(ev.ensemble)
     pur_a, pur_ab = ev.purities
-    lhs = (res.p_success - 0.5) ** 2 + ev.x**2
-    rhs = 0.25 + 0.5 * (pur_a - pur_ab)
-    comps = {"P_s": res.p_success, "X": ev.x, "purity_A": pur_a, "purity_AB": pur_ab}
-    return _report(Relation.TWO_PATH_EQUALITY, lhs, rhs, comps, res.certified,
-                   equality=True)
+    return _main_relation(ev, Relation.TWO_PATH_EQUALITY, pur_a - pur_ab, equality=True,
+                          purity_A=pur_a, purity_AB=pur_ab)
 
 
 def check_mixed_state(spec: ScenarioSpec | Evaluation) -> DualityReport:
@@ -217,19 +212,14 @@ def check_mixed_state(spec: ScenarioSpec | Evaluation) -> DualityReport:
     so the relation reads the P_s, X and Tr rho_A^2 of `L1_MEMORY`.
     """
     ev = Evaluation.of(spec, Relation.MIXED_STATE)
-    n = ev.spec.n
-    res = ev.solution
     pur_a, pur_ab = ev.purities
     pur_d = purity(ev.reduced.rho_d)
     # The ABD state is pure, so Tr rho_D^2 = Tr rho_AB^2; a gap means a faulty build.
     if not abs(pur_d - pur_ab) <= 1e-12:
         raise AssertionError(
             f"Tr rho_D^2 - Tr rho_AB^2 = {pur_d - pur_ab:.3e}: the ABD state is not pure")
-    lhs = (res.p_success - 1.0 / n) ** 2 + ev.x**2
-    rhs = (1.0 - 1.0 / n) ** 2 + 2.0 * (n - 1) / n**2 * (pur_a - pur_d)
-    comps = {"P_s": res.p_success, "X": ev.x, "purity_A": pur_a, "purity_D": pur_d,
-             "certificate_gap": res.certificate_gap}
-    return _report(Relation.MIXED_STATE, lhs, rhs, comps, res.certified)
+    return _main_relation(ev, Relation.MIXED_STATE, pur_a - pur_d, purity_A=pur_a,
+                          purity_D=pur_d, certificate_gap=ev.solution.certificate_gap)
 
 
 def check_entropic_no_memory(spec: ScenarioSpec | Evaluation,
@@ -299,17 +289,20 @@ class TwoParticleScenario:
         c = np.asarray(self.amplitudes, dtype=complex)
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 2:
             raise ValueError(f"joint amplitudes must be N x N, N >= 2, got {c.shape}")
+        # The joint table alone first (ideal detectors): each error names its section.
         sides = []
-        for name, amps, detector in (("detector_a", c, self.detector_a),
+        for name, amps, detector in (("amplitudes", c, np.eye(len(c))),
+                                     ("detector_a", c, self.detector_a),
                                      ("detector_b", c.T, self.detector_b)):
             try:
                 sides.append(ScenarioSpec(amps, detector))
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from exc
+        sides = tuple(sides[1:])
         object.__setattr__(self, "amplitudes", sides[0].amplitudes)
         object.__setattr__(self, "detector_a", sides[0].detector_states)
         object.__setattr__(self, "detector_b", sides[1].detector_states)
-        object.__setattr__(self, "sides", tuple(sides))
+        object.__setattr__(self, "sides", sides)
 
     @property
     def n(self) -> int:
@@ -319,14 +312,13 @@ class TwoParticleScenario:
 def check_two_particle_sum(tp: TwoParticleScenario) -> DualityReport:
     """Sum of the main relation over both particles.
 
-    Each side is the relation the paper states at that N for the particle's
-    own scenario: the two-path equality at N = 2, `L1_MEMORY` otherwise. So a
-    particle's purity term is Tr rho_X^2 - Tr rho_{X,mem}^2, where
-    rho_{X,mem} leaves out only that particle's detector. The both-detector
-    Tr rho_AB^2 is recorded in the components for reference.
+    Each side is `L1_MEMORY` on the particle's own scenario (at N = 2 its
+    values are those of the two-path equality). So a particle's purity term is
+    Tr rho_X^2 - Tr rho_{X,mem}^2, where rho_{X,mem} leaves out only that
+    particle's detector. The both-detector Tr rho_AB^2 is recorded in the
+    components for reference.
     """
-    check = check_two_path_equality if tp.n == 2 else check_l1_memory
-    rep_a, rep_b = (check(Evaluation(side)) for side in tp.sides)
+    rep_a, rep_b = (check_l1_memory(Evaluation(side)) for side in tp.sides)
     a, b = rep_a.components, rep_b.components
     # Both-detector AB purity, for reference only.
     w = np.abs(tp.amplitudes) ** 2

@@ -193,9 +193,6 @@ def run_relation(relation: Relation, spec) -> DualityReport:
 # of work of the worker pool.
 BLOCK_SIZE = 64
 
-# Relations that do not read the scenario's shared min-error solve.
-_NO_SHARED_SOLVE = (Relation.TWO_PATH_EQUALITY, Relation.TWO_PARTICLE_SUM)
-
 
 class InternalError(RuntimeError):
     """Any exception a relation raises on a sweep scenario: a failed internal
@@ -219,15 +216,14 @@ def _eval_task(config: SweepConfig, cell_idx: int, scen_idx: int | range) -> lis
     indices = [scen_idx] if isinstance(scen_idx, int) else list(scen_idx)
 
     evs = tps = [None] * len(indices)
-    if any(r is not Relation.TWO_PARTICLE_SUM for r in relations):
-        evs = [Evaluation(sample_scenario(subseed(config.seed, cell_idx, i), n, d_b, config.d_d))
-               for i in indices]
     if Relation.TWO_PARTICLE_SUM in relations:
         tps = [sample_two_particle(subseed(config.seed, cell_idx, i, 1), n, config.d_d)
                for i in indices]
 
     solve_ms = 0.0
-    if any(r not in _NO_SHARED_SOLVE for r in relations):
+    if any(r is not Relation.TWO_PARTICLE_SUM for r in relations):
+        evs = [Evaluation(sample_scenario(subseed(config.seed, cell_idx, i), n, d_b, config.d_d))
+               for i in indices]
         t0 = time.perf_counter()
         try:
             for ev, res in zip(evs, min_error_solve_block([ev.ensemble for ev in evs])):

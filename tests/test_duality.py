@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from pathcoh.cli import main
 from pathcoh.coherence import normalized_x
 from pathcoh.discrimination import Ensemble, helstrom, min_error_solve
 from pathcoh.duality import (
@@ -331,6 +333,21 @@ class TestTwoParticleSum:
         path.write_text(json.dumps(doc))
         with pytest.raises(ScenarioParseError, match="detector_b: detector states"):
             parse_scenario(path)
+        # A fault of the joint table names the amplitudes, not a detector.
+        with pytest.raises(ValueError, match="^amplitudes: amplitude table not normalized"):
+            TwoParticleScenario(np.eye(2), np.eye(2), np.eye(2))
+        nan = tp.amplitudes.copy()
+        nan[1, 2] = np.nan
+        with pytest.raises(ValueError, match="^amplitudes: amplitudes and detector states must"):
+            TwoParticleScenario(nan, tp.detector_a, tp.detector_b)
+        for amps, message in ((2 * tp.amplitudes, "amplitudes: amplitude table not normalized"),
+                              (nan, "amplitudes: entries must be finite")):
+            doc.update(amplitudes=to_pairs(amps), detector_b={"vectors": to_pairs(tp.detector_b)})
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ScenarioParseError, match=message):
+                parse_scenario(path)
+            res = CliRunner().invoke(main, ["check", str(path)])
+            assert res.exit_code == 2 and message in res.output, res.output
 
     def test_detectors_of_different_widths(self):
         # N = 3 with detector A in d = 2 and detector B in d = 3: each side

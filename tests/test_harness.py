@@ -324,6 +324,29 @@ class TestSharedEvaluation:
         assert calls.count("mutual_information") == 1
         assert calls.count("build_mixed_no_memory") == 0
 
+    def test_one_closed_form_and_no_primal_dual_at_two_paths(self, monkeypatch):
+        # N = 2, d_B = 1: seven default relations, on a block of three.
+        cfg = SweepConfig(seed=101, count=3, n_values=(2,), d_b_values=(1,))
+        calls = []
+        for name in ("helstrom", "_primal_dual", "min_error_solve"):
+            _count_calls(monkeypatch, calls, discrimination, name)
+        _count_calls(monkeypatch, calls, duality, "min_error_solve")
+        _count_calls(monkeypatch, calls, harness, "min_error_solve_block")
+        rows = harness._eval_task(cfg, 0, range(3))
+        assert len(rows) == 3 * 7
+        assert calls.count("min_error_solve_block") == 1
+        assert calls.count("helstrom") == 3
+        assert calls.count("_primal_dual") == calls.count("min_error_solve") == 0
+
+    def test_one_success_probability_per_two_path_scenario(self):
+        cfg = SweepConfig(seed=101, count=8, n_values=(2,), d_b_values=(1, 2))
+        rows = {(r.scenario_id, r.relation): r for r in run_sweep(cfg)}
+        ids = sorted({sid for sid, _ in rows})
+        assert len(ids) == 16
+        for sid in ids:
+            l1, equality = rows[sid, "L1_MEMORY"], rows[sid, "TWO_PATH_EQUALITY"]
+            assert (l1.lhs, l1.rhs) == (equality.lhs, equality.rhs), sid
+
     def test_sweep_matches_one_fresh_check_per_relation(self):
         cfg = SweepConfig(seed=23, count=2, n_values=(2, 3), d_b_values=(1, 2))
         rows = run_sweep(cfg)
@@ -446,14 +469,14 @@ class TestBlockSweep:
 # SHA-256 of reference sweep CSVs; rows must not move unless a change says so.
 REFERENCE_CSVS = [
     (["--seed", "101", "--count", "8", "--n", "2,3,4,5", "--db", "1,2"],
-     "43dd7348fdfbd59f0a17282cdb1a199e58e6937f9bfb16bb2638584310a90b67"),
+     "e4dcc5102f7dc32817857628072230e27374932fba4b4078f60310dc0d575b09"),
     (["--seed", "7", "--count", "4", "--n", "2,3,4,5", "--db", "3,4"],
-     "8c1f6853265d52a6b5d42a859d695be154cbc566eb057450c5adc7e8a0f411c3"),
+     "785a3f8a69e22e0f54215087c22c55e287ad601ae957b453f759de6f6725848c"),
     (["--seed", "5", "--count", "3", "--n", "3,4", "--db", "1,2", "--dd", "2"],
      "46e5843c2870863e27126073fcd686a7767ed1834bcf04bf7b90340cd3583f83"),
     (["--seed", "101", "--count", "41", "--n", "2,3,4,5", "--db", "1,2,3,4",
       "--relation", "L1_MEMORY"],
-     "319bf6fa0b20a9817df9b0c19d7bd3410ce52cc70772fcd83c77b16b405e74d4"),
+     "7fe11320f867e435f3bb02eb3ae879268049cd0dbcd4743d324d21e724b70d92"),
 ]
 
 
@@ -841,6 +864,14 @@ class TestCli:
         assert res.exit_code == 0
         assert "p_success = 1" in res.output
         assert "pairwise_bound" in res.output
+
+    def test_discriminate_two_states_takes_the_closed_form(self, tmp_path):
+        rng = np.random.default_rng(2)
+        doc = {"type": "ensemble", "probs": [0.3, 0.7],
+               "states": to_pairs([haar_state(rng, 3) for _ in range(2)])}
+        res = self.run("discriminate", str(write_doc(tmp_path, doc)))
+        assert res.exit_code == 0, res.output
+        assert "iterations = 0" in res.output.splitlines()
 
     def test_discriminate_rejects_scenario(self, tmp_path):
         p = write_doc(tmp_path, SCENARIO_DOC)
