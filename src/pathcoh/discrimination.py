@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_TOL, dagger, eigh, shannon_entropy, trace_norm, von_neumann_entropy
+from .linalg import PSD_TOL, dagger, eigh, shannon_entropies, von_neumann_entropy
 
 COMPLETE_TOL = 1e-9
 # A solver result counts as certified optimal when its gap -- an upper bound
@@ -138,7 +138,7 @@ def _dual_residual(weighted: np.ndarray, y: np.ndarray) -> np.ndarray:
     Y >= p_i rho_i bounds the optimal success probability by Tr Y; Y + g*I is
     such an operator, so the optimum is at most Tr Y + d*g."""
     low = np.linalg.eigvalsh(y[..., None, :, :] - weighted).min(axis=(-2, -1))
-    return np.maximum(0.0, -low)
+    return np.where(low < 0.0, -low, 0.0)  # +0.0, not -0.0, when low is 0
 
 
 def certificate_gap(e: Ensemble, m: Povm) -> float:
@@ -149,18 +149,16 @@ def certificate_gap(e: Ensemble, m: Povm) -> float:
     (0 when dual-feasible). The optimum is then at most P_s + d*g.
     """
     rhos = e.projectors()
-    y = np.zeros((e.dim, e.dim), dtype=complex)
-    for j in range(e.n):
-        y += e.probs[j] * (rhos[j] @ m.elements[j])
+    y = (e.probs[:, None, None] * (rhos @ np.array(m.elements[:e.n]))).sum(axis=0)
     return float(_dual_residual(e.probs[:, None, None] * rhos, (y + dagger(y)) / 2))
 
 
-def _herm_power(m: np.ndarray, power: float) -> tuple[np.ndarray, np.ndarray]:
-    """m^power on the support of Hermitian PSD m (eigenvalues <= 1e-12 -> 0),
+def _inv_sqrt(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m^{-1/2} on the support of Hermitian PSD m (eigenvalues <= 1e-12 -> 0),
     and the projector onto its null space; m may be a stack (..., d, d)."""
     w, v = eigh(m)
     null = (v * (w <= 1e-12).astype(float)[..., None, :]) @ dagger(v)
-    w = np.where(w > 1e-12, np.clip(w, 1e-12, None) ** power, 0.0)
+    w = np.where(w > 1e-12, np.clip(w, 1e-12, None) ** -0.5, 0.0)
     return (v * w[..., None, :]) @ dagger(v), null
 
 
@@ -193,18 +191,23 @@ def helstrom(e: Ensemble) -> DiscriminationResult:
 
 
 def pairwise_bound(e: Ensemble) -> float:
-    """Upper bound on the optimal success probability from pairwise trace norms.
+    """Upper bound on the optimal success probability from pairwise trace norms
+    (Qiu, PRA 77, 012328 (2008)).
 
-    1/N + (1/2N) sum_{i,j} ||T_ij||_1 with T_ij = p_i rho_i - p_j rho_j.
+    1/N + (1/2N) sum_{i != j} ||T_ij||_1 with T_ij = p_i rho_i - p_j rho_j.
+    T_ij has rank <= 2, so ||T_ij||_1 = sqrt(Tr(T_ij)^2 - 4 det) =
+    sqrt((p_i - p_j)^2 + 4 p_i p_j (1 - |<phi_i|phi_j>|^2)), taken with the
+    states' own norms. 1 - |<phi_i|phi_j>|^2 is half the squared norm of
+    phi_i (x) phi_j - phi_j (x) phi_i, which keeps its digits where the
+    overlap is near 1 (for d = 1 it is exactly 0).
     """
-    rhos = e.projectors()
-    n = e.n
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                total += trace_norm(e.probs[i] * rhos[i] - e.probs[j] * rhos[j])
-    return 1.0 / n + total / (2.0 * n)
+    p, a = e.probs, e.states
+    wedge = a[:, None, :, None] * a[None, :, None, :]
+    wedge = wedge - wedge.transpose(1, 0, 2, 3)
+    cross = (np.abs(wedge) ** 2).sum(axis=(-2, -1)) / 2
+    weight = p * (np.abs(a) ** 2).sum(axis=-1)
+    norms = np.sqrt((weight[:, None] - weight) ** 2 + 4 * np.outer(p, p) * cross)
+    return 1.0 / e.n + float(norms[np.triu_indices(e.n, 1)].sum()) / e.n
 
 
 def _square_root_measurement(states: np.ndarray,
@@ -225,18 +228,6 @@ def _square_root_measurement(states: np.ndarray,
     return mu[..., :, None] * mu.conj()[..., None, :], null
 
 
-def _pgms(ensembles: list[Ensemble]) -> list[Povm]:
-    """`pretty_good_measurement` of each ensemble of a list of one shape, with
-    the square-root measurements built on one stack."""
-    probs, states = _stacked(ensembles)
-    povms = []
-    for elements, null in zip(*_square_root_measurement(states, probs)):
-        if np.max(np.abs(null)) > 1e-9:
-            elements = np.concatenate((elements, null[None]))
-        povms.append(Povm(tuple(elements)))
-    return povms
-
-
 def pretty_good_measurement(e: Ensemble) -> Povm:
     """Pi_i = rho^{-1/2} p_i |phi_i><phi_i| rho^{-1/2} with rho = sum p_i rho_i.
 
@@ -245,7 +236,10 @@ def pretty_good_measurement(e: Ensemble) -> Povm:
     `_square_root_measurement` amplifies no rounding, even for a path
     probability near 1e-9, so the elements need no renormalization.
     """
-    return _pgms([e])[0]
+    elements, null = _square_root_measurement(e.states, e.probs)
+    if np.max(np.abs(null)) > COMPLETE_TOL:
+        elements = np.concatenate((elements, null[None]))
+    return Povm(tuple(elements))
 
 
 def _renormalize(elements: np.ndarray) -> np.ndarray:
@@ -254,7 +248,7 @@ def _renormalize(elements: np.ndarray) -> np.ndarray:
     of k sums to identity again."""
     w, v = eigh((elements + dagger(elements)) / 2)
     elements = (v * np.clip(w, 0.0, None)[..., None, :]) @ dagger(v)
-    inv_root, null = _herm_power(elements.sum(axis=-3), -0.5)
+    inv_root, null = _inv_sqrt(elements.sum(axis=-3))
     inv_root = inv_root[..., None, :, :]
     m = inv_root @ elements @ inv_root + null[..., None, :, :] / elements.shape[-3]
     return (m + dagger(m)) / 2
@@ -390,21 +384,6 @@ def min_error_solve(e: Ensemble) -> DiscriminationResult:
     return min_error_solve_block([e])[0]
 
 
-def _entropies(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits of each distribution along the last axis of a
-    nonnegative stack, each bitwise `shannon_entropy` of its row.
-
-    A row holding an exact zero goes through `shannon_entropy`, which drops
-    the zero and so groups the sum differently.
-    """
-    rows = p.reshape(-1, p.shape[-1])
-    positive = rows > 0.0
-    h = -(rows * np.log2(rows, out=np.zeros_like(rows), where=positive)).sum(axis=-1)
-    for i in np.flatnonzero(~positive.all(axis=-1)):
-        h[i] = shannon_entropy(rows[i])
-    return h.reshape(p.shape[:-1])
-
-
 def _joint(probs: np.ndarray, states: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Joint tables p_i <phi_i|Pi_k|phi_i> (..., n, k) of ensembles (probs, states)
     measured by POVMs (elements (..., k, d, d)), the leading axes broadcast."""
@@ -415,9 +394,9 @@ def _joint(probs: np.ndarray, states: np.ndarray, elements: np.ndarray) -> np.nd
 
 def _mutual(joint: np.ndarray) -> np.ndarray:
     """Mutual information in bits of each joint table (..., n, k)."""
-    h_d = _entropies(joint.sum(axis=-1))
-    h_m = _entropies(joint.sum(axis=-2))
-    return h_d + h_m - _entropies(joint.reshape(joint.shape[:-2] + (-1,)))
+    h_d = shannon_entropies(joint.sum(axis=-1))
+    h_m = shannon_entropies(joint.sum(axis=-2))
+    return h_d + h_m - shannon_entropies(joint.reshape(joint.shape[:-2] + (-1,)))
 
 
 def mutual_information(e: Ensemble, m: Povm) -> float:
@@ -430,13 +409,6 @@ def mutual_information(e: Ensemble, m: Povm) -> float:
 def holevo(e: Ensemble) -> float:
     """Holevo bound in bits; for pure members this is just S(rho)."""
     return von_neumann_entropy(e.average_state())
-
-
-def _padded(povms) -> np.ndarray:
-    """The POVMs' elements, each padded with zero elements to the longest."""
-    k = max(len(m.elements) for m in povms)
-    return np.array([np.pad(m.elements, ((0, k - len(m.elements)), (0, 0), (0, 0)))
-                     for m in povms])
 
 
 def _hill_climb(ensembles: list[Ensemble], starts: np.ndarray) -> np.ndarray:
@@ -479,8 +451,8 @@ def _hill_climb(ensembles: list[Ensemble], starts: np.ndarray) -> np.ndarray:
 def accessible_info_lower(e: Ensemble | list[Ensemble],
                           min_error_povm: Povm | list[Povm]) -> float | list[float]:
     """Certified lower bound on Acc(D) in bits: the best I(D:M) that
-    `_hill_climb` reaches from the min-error POVM and from the PGM, so at
-    least that of either start. Nothing is random.
+    `_hill_climb` reaches from the min-error POVM (one element per state) and
+    from the PGM, so at least that of either start. Nothing is random.
 
     `e` may be a list of ensembles of one shape with a list of their min-error
     POVMs; their PGMs are built on one stack and the ascents run in lockstep,
@@ -488,13 +460,22 @@ def accessible_info_lower(e: Ensemble | list[Ensemble],
     """
     single = isinstance(e, Ensemble)
     ensembles, povms = ([e], [min_error_povm]) if single else (e, min_error_povm)
-    starts = [_padded(pair) for pair in zip(povms, _pgms(ensembles))]
-    best = [0.0] * len(starts)
+    probs, states = _stacked(ensembles)
+    pgm, null = _square_root_measurement(states, probs)
+    # Room for the PGM's completion element: where the PGM has one, the
+    # min-error POVM climbs with a zero element added, which stays zero.
+    n = states.shape[-2]
+    starts = np.zeros((len(ensembles), 2, n + 1) + null.shape[-2:], dtype=complex)
+    starts[:, 0, :n] = [m.elements for m in povms]
+    starts[:, 1, :n] = pgm
+    completed = np.abs(null).max(axis=(-2, -1)) > COMPLETE_TOL
+    starts[completed, 1, n] = null[completed]
+    _check_povms(starts)
+    best = np.empty(len(ensembles))
     # Ensembles climb with those of their own outcome count, so that no
     # ensemble's padding depends on the others in its block.
-    for k in {s.shape[1] for s in starts}:
-        ids = [j for j, s in enumerate(starts) if s.shape[1] == k]
-        climbed = _hill_climb([ensembles[j] for j in ids], np.array([starts[j] for j in ids]))
-        for j, c in zip(ids, climbed):
-            best[j] = float(c.max())
-    return best[0] if single else best
+    for extra in set(completed.tolist()):
+        ids = np.flatnonzero(completed == extra)
+        climbed = _hill_climb([ensembles[j] for j in ids], starts[ids, :, :n + extra])
+        best[ids] = climbed.max(axis=-1)
+    return float(best[0]) if single else best.tolist()

@@ -200,9 +200,9 @@ class InternalError(RuntimeError):
     and the relation."""
 
 
-def _eval_task(config: SweepConfig, cell_idx: int, scen_idx: int | range) -> list[SweepRow]:
-    """Rows of one scenario, or of a block of one cell's scenarios (a range of
-    indices), in scenario order.
+def _eval_task(config: SweepConfig, cell_idx: int, block: range) -> list[SweepRow]:
+    """Rows of a block of one cell's scenarios (a range of indices), in
+    scenario order.
 
     Before any relation runs, a block's min-error problems are solved together
     (`min_error_solve_block`), and, when ACCESSIBLE is among the relations,
@@ -213,17 +213,16 @@ def _eval_task(config: SweepConfig, cell_idx: int, scen_idx: int | range) -> lis
     """
     n, d_b = config.cells()[cell_idx]
     relations = applicable_relations(config.relations or DEFAULT_RELATIONS, n, d_b)
-    indices = [scen_idx] if isinstance(scen_idx, int) else list(scen_idx)
 
-    evs = tps = [None] * len(indices)
+    evs = tps = [None] * len(block)
     if Relation.TWO_PARTICLE_SUM in relations:
         tps = [sample_two_particle(subseed(config.seed, cell_idx, i, 1), n, config.d_d)
-               for i in indices]
+               for i in block]
 
     solve_ms = 0.0
     if any(r is not Relation.TWO_PARTICLE_SUM for r in relations):
         evs = [Evaluation(sample_scenario(subseed(config.seed, cell_idx, i), n, d_b, config.d_d))
-               for i in indices]
+               for i in block]
         t0 = time.perf_counter()
         try:
             for ev, res in zip(evs, min_error_solve_block([ev.ensemble for ev in evs])):
@@ -245,7 +244,7 @@ def _eval_task(config: SweepConfig, cell_idx: int, scen_idx: int | range) -> lis
         search_ms = (time.perf_counter() - t0) * 1e3 / len(evs)
 
     rows = []
-    for i, ev, tp in zip(indices, evs, tps):
+    for i, ev, tp in zip(block, evs, tps):
         scenario_id = f"s{config.seed}-c{cell_idx}-i{i}"
         extra_ms = solve_ms
         for rel in relations:
@@ -300,31 +299,30 @@ def summarize(rows: list[SweepRow]) -> dict:
     }
 
 
+def _csv_line(r: SweepRow) -> str:
+    return ",".join([
+        r.scenario_id, r.relation, str(r.n), str(r.d_b),
+        _fmt(r.lhs), _fmt(r.rhs), _fmt(r.slack),
+        "true" if r.satisfied else "false",
+        "true" if r.certified else "false",
+        "0",
+    ])
+
+
 def emit(rows: list[SweepRow], fmt: str, path) -> None:
-    """Write rows as CSV or JSON-lines.
+    """Write rows as CSV or JSON-lines, one line per row.
 
     The CSV payload is deterministic for a fixed config: wall times vary
     between runs, so the CSV `ms` column is fixed to 0 and measured times
     are only available in the JSON-lines format.
     """
-    path = Path(path)
-    if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in rows:
-            lines.append(",".join([
-                r.scenario_id, r.relation, str(r.n), str(r.d_b),
-                _fmt(r.lhs), _fmt(r.rhs), _fmt(r.slack),
-                "true" if r.satisfied else "false",
-                "true" if r.certified else "false",
-                "0",
-            ]))
-        path.write_text("\n".join(lines) + "\n")
-    elif fmt == "jsonl":
-        with path.open("w") as fh:
-            for r in rows:
-                fh.write(json.dumps(asdict(r)) + "\n")
-    else:
+    line = {"csv": _csv_line, "jsonl": lambda r: json.dumps(asdict(r))}.get(fmt)
+    if line is None:
         raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'jsonl')")
+    with Path(path).open("w") as fh:
+        if fmt == "csv":
+            fh.write(CSV_HEADER + "\n")
+        fh.writelines(line(r) + "\n" for r in rows)
 
 
 def witness_report(spec: ScenarioSpec) -> dict:

@@ -152,11 +152,28 @@ def clip_spectrum(w: np.ndarray) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
+def shannon_entropies(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each distribution along the last axis of a
+    nonnegative stack; 0 log 0 := 0, while NaN and Infinity propagate.
+
+    Each row's nonzero entries are summed alone and in order: the rows with
+    k of them are gathered into one (rows, k) table, so no zero enters a sum
+    and each value is bitwise that of its row by itself.
+    """
+    rows = p.reshape(-1, p.shape[-1])
+    nonzero = rows != 0.0
+    counts = np.count_nonzero(nonzero, axis=-1)
+    h = np.empty(len(rows))
+    for k in set(counts.tolist()):
+        group = counts == k
+        nz = rows[nonzero & group[:, None]].reshape(np.count_nonzero(group), k)
+        h[group] = -(nz * np.log2(nz)).sum(axis=-1)
+    return h.reshape(p.shape[:-1])
+
+
 def shannon_entropy(p) -> float:
     """Shannon entropy in bits; 0 log 0 := 0; FloatingPointError on NaN or Infinity."""
-    p = clip_spectrum(np.asarray(p, dtype=float))
-    nz = p[p > 0.0]
-    h = float(-np.sum(nz * np.log2(nz)))
+    h = float(shannon_entropies(clip_spectrum(np.asarray(p, dtype=float))))
     if not math.isfinite(h):
         raise FloatingPointError("distribution has non-finite entries")
     return h

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,9 @@ from pathcoh.discrimination import (
     _certified,
     _cholesky,
     _dual_residual,
-    _entropies,
     _hill_climb,
     _joint,
     _mutual,
-    _padded,
     _primal_dual,
     _renormalize,
     accessible_info_lower,
@@ -30,7 +30,7 @@ from pathcoh.discrimination import (
     success_probability,
 )
 from pathcoh.duality import check_l1_memory, detector_ensemble
-from pathcoh.linalg import shannon_entropy
+from pathcoh.linalg import shannon_entropies, shannon_entropy, trace_norm
 from pathcoh.sampling import haar_state, sample_scenario, subseed
 
 RNG = np.random.default_rng(11)
@@ -176,6 +176,18 @@ class TestHelstrom:
             helstrom(trine())
 
 
+def pairwise_bound_by_loop(e):
+    """1/N + (1/2N) sum_{i != j} ||p_i rho_i - p_j rho_j||_1, one trace norm
+    (one eigendecomposition) per ordered pair."""
+    rhos = e.projectors()
+    total = 0.0
+    for i in range(e.n):
+        for j in range(e.n):
+            if i != j:
+                total += trace_norm(e.probs[i] * rhos[i] - e.probs[j] * rhos[j])
+    return 1.0 / e.n + total / (2.0 * e.n)
+
+
 class TestPairwiseBound:
     def test_two_state_equality(self):
         for s in range(30):
@@ -194,6 +206,20 @@ class TestPairwiseBound:
             e = random_ensemble(rng, 3, 2)
             res = min_error_solve(e)
             assert res.p_success <= pairwise_bound(e) + 1e-8
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_closed_form_matches_trace_norm_loop(self, n):
+        # The closed form against the n(n-1) trace norms it replaces, for
+        # every d <= n and, in every third ensemble, a path with probability
+        # zero; d = 1 puts every pair of states on one ray.
+        rng = np.random.default_rng(500 + n)
+        for s in range(30):
+            e = random_ensemble(rng, n, 1 + s % n)
+            if s % 3 == 0:
+                p = e.probs.copy()
+                p[s % n], p[(s + 1) % n] = 0.0, p[(s + 1) % n] + p[s % n]
+                e = Ensemble(p, e.states)
+            assert abs(pairwise_bound(e) - pairwise_bound_by_loop(e)) <= 1e-15
 
 
 class TestPrettyGoodMeasurement:
@@ -243,6 +269,23 @@ class TestMinErrorSolve:
             assert res.certified
             assert res.p_success == pytest.approx(
                 helstrom(e).p_success, abs=1e-8)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_geometrically_uniform_oracle(self, n):
+        # phi_k = U^k phi_0 with U = diag(w^m), w = exp(2 pi i / n), and
+        # uniform priors: the square-root measurement is optimal, with
+        # P_s = (sum_m |c_m|)^2 / n for phi_0 = (c_m) (Ban, Kurokawa, Momose
+        # & Hirota, Int. J. Theor. Phys. 36, 1269 (1997)). The oracle value
+        # must lie in the solver's bracket [P_s, P_s + gap].
+        rng = np.random.default_rng(3000 + n)
+        m = np.arange(n)
+        for _ in range(8):
+            c = haar_state(rng, n)
+            states = np.array([c * np.exp(2j * np.pi * k * m / n) for k in range(n)])
+            oracle = float(np.sum(np.abs(c))) ** 2 / n
+            res = min_error_solve(Ensemble(np.full(n, 1 / n), states))
+            assert res.certified
+            assert res.p_success - 1e-12 <= oracle <= res.p_success + res.certificate_gap + 1e-12
 
     def test_trine_frozen(self):
         res = min_error_solve(trine())
@@ -506,6 +549,33 @@ class TestCertificateGap:
         e = two_state(0.5, 0.4)
         assert certificate_gap(e, helstrom(e).povm) <= 1e-12
 
+    def test_zero_gap_is_positive_zero(self):
+        # N = 2, d_D = 1: both states are the same ray, so Y - p_i rho_i has
+        # lowest eigenvalue exactly 0, and the gap must print as 0, not -0.
+        spec = sample_scenario(subseed(3, 0), 2, 1, 1)
+        e = detector_ensemble(spec)
+        assert math.copysign(1.0, certificate_gap(e, helstrom(e).povm)) == 1.0
+        assert math.copysign(1.0, min_error_solve(e).certificate_gap) == 1.0
+        zero = _dual_residual(np.zeros((1, 1, 1)), np.zeros((1, 1)))
+        assert math.copysign(1.0, float(zero)) == 1.0
+
+    def test_matches_per_outcome_loop(self):
+        # Y = sum_j p_j rho_j Pi_j on one stack, against one outcome at a time:
+        # bitwise for the two outcomes `helstrom` certifies; from four terms
+        # numpy may sum a contiguous axis pairwise, so to rounding there.
+        for s in range(60):
+            rng = np.random.default_rng(1200 + s)
+            n, d = 2 + s % 4, int(rng.integers(1, 5))
+            e = random_ensemble(rng, n, d)
+            m = helstrom(e).povm if n == 2 else pretty_good_measurement(e)
+            y = np.zeros((d, d), dtype=complex)
+            for j in range(n):
+                y += e.probs[j] * (np.outer(e.states[j], e.states[j].conj()) @ m.elements[j])
+            want = _dual_residual(e.probs[:, None, None] * e.projectors(), (y + y.conj().T) / 2)
+            if n == 2:
+                assert certificate_gap(e, m) == float(want)
+            assert abs(certificate_gap(e, m) - float(want)) <= 1e-15
+
     def test_positive_for_bad_povm(self):
         e = two_state(0.5, 0.0)  # orthogonal states
         swapped = Povm((np.diag([0.0, 1.0]), np.diag([1.0, 0.0])))
@@ -561,7 +631,13 @@ class TestInformation:
 def ascent_starts(es, povms):
     """The (ensembles, 2, k, d, d) start stack of `accessible_info_lower`: each
     min-error POVM and PGM, padded with zero elements to one length."""
-    return np.array([_padded((m, pretty_good_measurement(e))) for e, m in zip(es, povms)])
+    pgms = [pretty_good_measurement(e).elements for e in es]
+    k = max(len(els) for els in pgms)
+
+    def padded(els):
+        return np.pad(els, ((0, k - len(els)), (0, 0), (0, 0)))
+
+    return np.array([(padded(m.elements), padded(els)) for m, els in zip(povms, pgms)])
 
 
 # For the detector ensemble e of sample_scenario(subseed(2024, k), N, d_B,
@@ -714,10 +790,14 @@ class TestStackedChecks:
         p[0, 1, 2] = 0.0
         p[2, 3, :3] = 0.0
         p[1, 0, 4] = -0.0
-        h = _entropies(p)
+        p[1, 2] = 0.0
+        h = shannon_entropies(p)
         assert h.shape == (3, 4)
         for idx in np.ndindex(3, 4):
             assert float.hex(float(h[idx])) == float.hex(shannon_entropy(p[idx]))
+        # A NaN is no zero to drop: it reaches its row's entropy alone.
+        h = shannon_entropies(np.array([[0.5, np.nan, 0.0], [0.5, 0.5, 0.0]]))
+        assert np.isnan(h[0]) and h[1] == 1.0
 
     def test_information_of_a_stack_matches_one_at_a_time(self):
         rng = np.random.default_rng(9)

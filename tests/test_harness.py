@@ -309,7 +309,7 @@ class TestSharedEvaluation:
             _count_calls(monkeypatch, calls, module, "von_neumann_entropy")
         _count_calls(monkeypatch, calls, duality, "mutual_information")
         _count_calls(monkeypatch, calls, interferometer, "build_mixed_no_memory")
-        rows = harness._eval_task(cfg, 0, 0)
+        rows = harness._eval_task(cfg, 0, range(1))
         assert len(rows) == 6
         assert calls.count("scenario_reduced") == 1
         # One block solve of one; ACCESSIBLE reads its POVM too.
@@ -535,6 +535,7 @@ class TestEmit:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit([], "xml", tmp_path / "out.xml")
+        assert not (tmp_path / "out.xml").exists()
 
 
 class TestWitnessReport:
