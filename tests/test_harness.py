@@ -477,6 +477,8 @@ REFERENCE_CSVS = [
     (["--seed", "101", "--count", "41", "--n", "2,3,4,5", "--db", "1,2,3,4",
       "--relation", "L1_MEMORY"],
      "7fe11320f867e435f3bb02eb3ae879268049cd0dbcd4743d324d21e724b70d92"),
+    (["--seed", "11", "--count", "4", "--n", "3,4", "--db", "1,2", "--dd", "8"],
+     "e85ee0a3ca9b1fbe1d05c9023cac11329bc8b923ef4aa29a0ca7300ae0f69793"),
 ]
 
 
@@ -488,7 +490,8 @@ class TestReferenceCsv:
         return hashlib.sha256(out.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("args, digest", REFERENCE_CSVS,
-                             ids=["default", "large-memory", "low-rank", "l1-main"])
+                             ids=["default", "large-memory", "low-rank", "l1-main",
+                                  "wide-detector"])
     def test_bytes_pinned(self, tmp_path, args, digest):
         assert self.sweep_sha256(tmp_path, args) == digest
 
