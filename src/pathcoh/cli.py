@@ -73,7 +73,7 @@ def main():
 @click.option("--tol", type=float, default=None,
               help="Override the pass tolerance for every relation.")
 def check(scenario_file, relations, tol):
-    """Evaluate duality relations on a scenario file."""
+    """Evaluate duality relations on a scenario file (sharing one N x N evaluation)."""
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         _fail(2, f"error: --tol must be finite and >= 0, got {tol}")
     obj = _parse(scenario_file)
@@ -87,7 +87,7 @@ def check(scenario_file, relations, tol):
                   or applicable_relations(DEFAULT_RELATIONS, obj.n, obj.d_b))
         if Relation.TWO_PARTICLE_SUM in wanted:
             _fail(2, "error: TWO_PARTICLE_SUM needs a two-particle file")
-        obj = Evaluation(obj)  # the relations share its reduced states and solve
+        obj = Evaluation(obj)  # the relations share its N x N states and solve
     else:
         _fail(2, "error: ensemble files go with the `discriminate` command")
 

@@ -69,13 +69,13 @@ class Ensemble:
 
 def _check_povms(stack: np.ndarray) -> None:
     """Raise ValueError unless each collection of k elements of a (..., k, d, d)
-    stack is PSD to PSD_TOL and sums to identity to COMPLETE_TOL."""
+    stack is PSD to PSD_TOL and sums to identity to COMPLETE_TOL; NaN fails both."""
     low = np.linalg.eigvalsh((stack + dagger(stack)) / 2).min(axis=-1)
-    bad = np.argwhere(low < -PSD_TOL)
+    bad = np.argwhere(~(low >= -PSD_TOL))
     if bad.size:
         where = tuple(bad[0])
         raise ValueError(f"element {where[-1]} is not PSD: min eigenvalue {low[where]:.3e}")
-    if np.max(np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1]))) > COMPLETE_TOL:
+    if not np.max(np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1]))) <= COMPLETE_TOL:
         raise ValueError("POVM elements do not sum to identity")
 
 

@@ -2,8 +2,9 @@
 
 The particle A enters an N-path interferometer while entangled with a
 memory B; a detector D is coupled by a controlled unitary that imprints
-|phi_i> on path i. This module validates scenarios and builds every reduced
-density matrix of the post-interaction state used downstream.
+|phi_i> on path i. This module validates scenarios; `scenario_reduced` traces
+the full post-interaction state down to rho_AB, rho_A and rho_D, the
+reference for the N x N forms that `duality.Evaluation` reads instead.
 
 Conventions: gram[i, j] = <v_i|v_j>; amplitude tables are row i = path i.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_density_matrix, clip_spectrum, eigh
+from .linalg import Dims, check_density_matrix, clip_spectrum, eigh, partial_trace
 
 NORM_TOL = 1e-9
 
@@ -121,40 +122,15 @@ class ReducedSet:
 
 
 def scenario_reduced(spec: ScenarioSpec) -> ReducedSet:
-    """Reduced density matrices of the post-interaction state.
-
-    The detector coupling maps |psi>_AB = sum_ij a_ij |i>_A |j>_B to
-    |Psi>_ABD = sum_ij a_ij |i>_A |j>_B |phi_i>_D. Only the entries of
-    |Psi><Psi| that a partial trace reads are formed: the products
-    psi[i,b,d] conj(psi[j,c,d]) for rho_AB and rho_A, and the i = j, b = c
-    blocks for rho_D. Each sum runs in the order `partial_trace` of the full
-    matrix uses, so the results are bitwise equal to it.
-    """
-    n, d_b, d_d = spec.n, spec.d_b, spec.d_d
-    psi = np.einsum("ij,ik->ijk", spec.amplitudes, spec.detector_states)
-    prod = psi[:, :, None, None, :] * psi.conj()[None, None, :, :, :]
-    rho_ab = prod[..., 0]
-    for k in range(1, d_d):  # sequential: ndarray.sum would add pairwise
-        rho_ab = rho_ab + prod[..., k]
-    rho_a = np.trace(rho_ab, axis1=1, axis2=3)
-    rho_ab = rho_ab.reshape(n * d_b, n * d_b)
-    blocks = psi[:, :, :, None] * psi.conj()[:, :, None, :]
-    per_path = blocks[:, 0]
-    for b in range(1, d_b):
-        per_path = per_path + blocks[:, b]
-    # The sum over paths is np.trace on the layout partial_trace leaves,
-    # whose order (pairwise for some shapes) a loop would not match.
-    rho_ad = np.zeros((n, d_d, n, d_d), dtype=complex)
-    rho_ad[np.arange(n), :, np.arange(n), :] = per_path
-    rho_d = np.trace(rho_ad, axis1=0, axis2=2)
+    """The reduced states of |Psi>_ABD = sum_ij a_ij |i>_A |j>_B |phi_i>_D, by
+    definition: partial traces of the full |Psi><Psi|."""
+    dims = Dims.of(("A", spec.n), ("B", spec.d_b), ("D", spec.d_d))
+    psi = np.einsum("ij,ik->ijk", spec.amplitudes, spec.detector_states).ravel()
+    rho = np.outer(psi, psi.conj())
+    rho_ab, rho_a, rho_d = (partial_trace(rho, dims, keep) for keep in (("A", "B"), "A", "D"))
     for m in (rho_ab, rho_a, rho_d):
         check_density_matrix(m)
-    return ReducedSet(
-        rho_ab=rho_ab,
-        rho_a=rho_a,
-        rho_d=rho_d,
-        p=spec.path_probs,
-    )
+    return ReducedSet(rho_ab=rho_ab, rho_a=rho_a, rho_d=rho_d, p=spec.path_probs)
 
 
 def build_mixed_no_memory(spec: ScenarioSpec):

@@ -68,7 +68,7 @@ def check_density_matrix(rho: np.ndarray) -> None:
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.view(float))):
+    if not np.isfinite(rho).all():
         raise ValueError("density matrix has non-finite entries")
     require_hermitian(rho)
     tr = complex(np.trace(rho))

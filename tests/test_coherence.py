@@ -102,6 +102,22 @@ class TestRelEntCoherence:
             assert rel_ent_coherence(rho) >= -1e-10
 
 
+class TestViews:
+    @pytest.mark.parametrize("kind", ["transpose", "strided"])
+    def test_non_contiguous_input_matches_a_copy(self, kind):
+        rho = random_density(np.random.default_rng(5), 3)
+        if kind == "transpose":
+            view = rho.T
+        else:
+            big = np.zeros((6, 6), dtype=complex)
+            big[::2, ::2] = rho
+            view = big[::2, ::2]
+        assert not view.flags.c_contiguous
+        copy = np.ascontiguousarray(view)
+        for f in (l1_coherence, lambda m: normalized_x(m, 3), rel_ent_coherence):
+            assert f(view) == pytest.approx(f(copy), abs=1e-15)
+
+
 class TestCoherenceLossBounds:
     def test_product_memory_no_loss(self):
         for s in range(10):

@@ -93,6 +93,21 @@ class TestEnsemblePovm:
                            match=r"^element 1 is not PSD: min eigenvalue -2\.500e-01$"):
             Povm(els)
 
+    def test_povm_rejects_nan(self):
+        # eigvalsh gives [0, -0] for diag(nan, 1), so NaN must fail the
+        # completeness test as well as the PSD one.
+        with pytest.raises(ValueError, match=r"^POVM elements do not sum to identity$"):
+            Povm((np.diag([np.nan, 1.0]), np.diag([np.nan, 0.0])))
+        off = np.array([[1.0, np.nan], [np.nan, 0.0]])
+        with pytest.raises(ValueError, match=r"^element 0 is not PSD: min eigenvalue nan$"):
+            Povm((off, np.diag([0.0, 1.0])))
+        # A stack, as the ascent checks its proposals: one bad collection fails it.
+        stack = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]] * 2, dtype=complex)
+        stack[1, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError):
+            _check_povms(stack)
+        _check_povms(stack[:1])
+
     def test_povm_message_not_complete(self):
         with pytest.raises(ValueError, match=r"^POVM elements do not sum to identity$"):
             Povm((np.eye(2), np.eye(2)))

@@ -1,5 +1,6 @@
-import dataclasses
+import csv
 import hashlib
+import io
 import json
 import time
 
@@ -300,7 +301,9 @@ class TestSharedEvaluation:
         # N = 3, d_B = 1: six default relations, five of them solver-backed.
         cfg = SweepConfig(seed=101, count=1, n_values=(3,), d_b_values=(1,))
         calls = []
-        _count_calls(monkeypatch, calls, duality, "scenario_reduced")
+        for module in (interferometer, coherence):
+            _count_calls(monkeypatch, calls, module, "scenario_reduced")
+        _count_calls(monkeypatch, calls, duality, "check_density_matrix")
         _count_calls(monkeypatch, calls, duality, "min_error_solve")
         _count_calls(monkeypatch, calls, discrimination, "min_error_solve")
         _count_calls(monkeypatch, calls, harness, "min_error_solve_block")
@@ -311,16 +314,18 @@ class TestSharedEvaluation:
         _count_calls(monkeypatch, calls, interferometer, "build_mixed_no_memory")
         rows = harness._eval_task(cfg, 0, range(1))
         assert len(rows) == 6
-        assert calls.count("scenario_reduced") == 1
+        # No full-state build; the evaluation checks its rho_A once.
+        assert calls.count("scenario_reduced") == 0
+        assert calls.count("check_density_matrix") == 1
         # One block solve of one; ACCESSIBLE reads its POVM too.
         assert calls.count("min_error_solve_block") == 1
         assert calls.count("min_error_solve") == 0
-        # C_r(rho_A) once; S(rho_A) inside it, S(A) and S(AB) shared, S(D) for
-        # the purity check, and the Holevo quantity.
+        # C_r(rho_A) once; S(rho_A) inside it, S(A) and S(AB) shared, and the
+        # Holevo quantity.
         assert calls.count("rel_ent_coherence") == 1
-        assert calls.count("von_neumann_entropy") == 5
+        assert calls.count("von_neumann_entropy") == 4
         # I(D:M) at the min-error POVM once, for both entropic relations;
-        # MIXED_STATE reads the shared reduced states.
+        # MIXED_STATE reads the shared purities.
         assert calls.count("mutual_information") == 1
         assert calls.count("build_mixed_no_memory") == 0
 
@@ -469,31 +474,64 @@ class TestBlockSweep:
 # SHA-256 of reference sweep CSVs; rows must not move unless a change says so.
 REFERENCE_CSVS = [
     (["--seed", "101", "--count", "8", "--n", "2,3,4,5", "--db", "1,2"],
-     "e4dcc5102f7dc32817857628072230e27374932fba4b4078f60310dc0d575b09"),
+     "1a8e969f888e5ba0ab2da6533261af8385bcf06754315f0e04e8f4e27a486a4b"),
     (["--seed", "7", "--count", "4", "--n", "2,3,4,5", "--db", "3,4"],
-     "785a3f8a69e22e0f54215087c22c55e287ad601ae957b453f759de6f6725848c"),
+     "bd26496dd2809e32cf6ce687a31658e31fbdb10a290778bf4c3bf2d468d4d5ea"),
     (["--seed", "5", "--count", "3", "--n", "3,4", "--db", "1,2", "--dd", "2"],
-     "46e5843c2870863e27126073fcd686a7767ed1834bcf04bf7b90340cd3583f83"),
+     "cbdf2b8665550f8b527b790be4a9112821b393767bd3abfad1c93ba332928ed0"),
     (["--seed", "101", "--count", "41", "--n", "2,3,4,5", "--db", "1,2,3,4",
       "--relation", "L1_MEMORY"],
-     "7fe11320f867e435f3bb02eb3ae879268049cd0dbcd4743d324d21e724b70d92"),
+     "458695229ae51136bc1992d2ede2d358f8e3b9ccdc2373d894c390dc619cc0ec"),
     (["--seed", "11", "--count", "4", "--n", "3,4", "--db", "1,2", "--dd", "8"],
-     "e85ee0a3ca9b1fbe1d05c9023cac11329bc8b923ef4aa29a0ca7300ae0f69793"),
+     "2bda8f283b164bd311620751fade01557b0b06a93532ef4dd7b35a36cb37ac0b"),
 ]
 
 
-class TestReferenceCsv:
-    def sweep_sha256(self, tmp_path, args):
-        out = tmp_path / "sweep.csv"
-        res = CliRunner().invoke(main, ["sweep", *args, "--out", str(out)])
-        assert res.exit_code == 0, res.output
-        return hashlib.sha256(out.read_bytes()).hexdigest()
+REFERENCE_IDS = ["default", "large-memory", "low-rank", "l1-main", "wide-detector"]
 
-    @pytest.mark.parametrize("args, digest", REFERENCE_CSVS,
-                             ids=["default", "large-memory", "low-rank", "l1-main",
-                                  "wide-detector"])
+# Rows that the README says copy another row of the same scenario: the
+# memoryless relations at d_B = 1, the two-path equality at N = 2, and
+# MIXED_STATE, whose Tr rho_D^2 is Tr rho_AB^2.
+ROW_COPIES = {
+    "L1_NO_MEMORY": "L1_MEMORY",
+    "ENTROPIC_NO_MEMORY": "ENTROPIC_MEMORY",
+    "TWO_PATH_EQUALITY": "L1_MEMORY",
+    "MIXED_STATE": "L1_MEMORY",
+}
+
+
+class TestReferenceCsv:
+    _csv = {}  # sweep arguments -> CSV bytes, so each sweep runs once
+
+    def sweep_csv(self, tmp_path, args):
+        key = tuple(args)
+        if key not in self._csv:
+            out = tmp_path / "sweep.csv"
+            res = CliRunner().invoke(main, ["sweep", *args, "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            self._csv[key] = out.read_bytes()
+        return self._csv[key]
+
+    def sweep_sha256(self, tmp_path, args):
+        return hashlib.sha256(self.sweep_csv(tmp_path, args)).hexdigest()
+
+    @pytest.mark.parametrize("args, digest", REFERENCE_CSVS, ids=REFERENCE_IDS)
     def test_bytes_pinned(self, tmp_path, args, digest):
         assert self.sweep_sha256(tmp_path, args) == digest
+
+    @pytest.mark.parametrize("args", [a for a, _ in REFERENCE_CSVS], ids=REFERENCE_IDS)
+    def test_row_copies_are_bitwise(self, tmp_path, args):
+        # The CSV prints 17 significant digits, so equal text is equal bits.
+        rows = {(r["scenario_id"], r["relation"]): r for r in
+                csv.DictReader(io.StringIO(self.sweep_csv(tmp_path, args).decode()))}
+        copies = 0
+        for (scenario_id, relation), row in rows.items():
+            if relation in ROW_COPIES:
+                source = rows[scenario_id, ROW_COPIES[relation]]
+                for key in ("lhs", "rhs", "slack"):
+                    assert row[key] == source[key], (scenario_id, relation, key)
+                copies += 1
+        assert copies > 0 or "--relation" in args
 
     def test_two_jobs_same_bytes(self, tmp_path):
         args, digest = REFERENCE_CSVS[3]
@@ -612,15 +650,10 @@ class TestCli:
         assert "Traceback" not in res.output
 
     def test_check_nan_made_inside_a_computation_exits_4(self, tmp_path, monkeypatch):
-        # A NaN that no input carried in (here in rho_AB) is an internal error,
-        # not a plausible entropy.
-        reduced = duality.scenario_reduced
-
-        def nan_rho_ab(spec):
-            red = reduced(spec)
-            return dataclasses.replace(red, rho_ab=np.full_like(red.rho_ab, np.nan))
-
-        monkeypatch.setattr(duality, "scenario_reduced", nan_rho_ab)
+        # A NaN that no input carried in (here in the stand-in for rho_AB) is
+        # an internal error, not a plausible entropy.
+        monkeypatch.setattr(Evaluation, "rho_ab_stand_in",
+                            property(lambda ev: np.full_like(ev.rho_a, np.nan)))
         res = self.run("check", str(write_doc(tmp_path, SCENARIO_DOC)),
                        "--relation", "ENTROPIC_MEMORY")
         assert res.exit_code == 4

@@ -283,3 +283,21 @@ class TestDensityCheck:
         m = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError):
             check_density_matrix(m)
+
+    def test_accepts_views(self):
+        # A transpose or a strided slice is a valid density matrix too.
+        rho = random_density(RNG, 3)
+        big = np.zeros((6, 6), dtype=complex)
+        big[::2, ::2] = rho
+        for view in (rho.T, big[::2, ::2], rho[::-1, ::-1]):
+            assert not view.flags.c_contiguous
+            check_density_matrix(view)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = bad
+        with pytest.raises(ValueError, match="^density matrix has non-finite entries$"):
+            check_density_matrix(m)
+        with pytest.raises(ValueError, match="^density matrix has non-finite entries$"):
+            check_density_matrix(m.T)
