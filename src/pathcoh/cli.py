@@ -73,7 +73,7 @@ def main():
 @click.option("--tol", type=float, default=None,
               help="Override the pass tolerance for every relation.")
 def check(scenario_file, relations, tol):
-    """Evaluate duality relations on a scenario file (sharing one N x N evaluation)."""
+    """Evaluate duality relations on a scenario file; they share one N x N evaluation."""
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         _fail(2, f"error: --tol must be finite and >= 0, got {tol}")
     obj = _parse(scenario_file)

@@ -39,13 +39,16 @@ ENTROPY_BOUND = 1e-12
 
 
 def oracle_cases(seed):
-    """Scenarios at N 2-5, d_B 1-4 and d_D in {1, 2, N, 2N}, each with its
-    evaluation and the oracle's reduced states."""
-    for n in range(2, 6):
-        for d_b in range(1, 5):
-            for d_d in sorted({1, 2, n, 2 * n}):
-                spec = sample_scenario(subseed(seed, n, d_b, d_d), n, d_b, d_d)
-                yield spec, Evaluation(spec), scenario_reduced(spec)
+    """Scenarios at N 2-5, d_B 1-4 and d_D in {1, 2, N, 2N}, and one with a
+    zero-probability path, each with its evaluation and the oracle's reduced
+    states."""
+    specs = [sample_scenario(subseed(seed, n, d_b, d_d), n, d_b, d_d)
+             for n in range(2, 6) for d_b in range(1, 5) for d_d in sorted({1, 2, n, 2 * n})]
+    rng = np.random.default_rng(seed)
+    specs.append(ScenarioSpec([[0.6, 0], [0, 0], [0, 0.8j]],
+                              [haar_state(rng, 2) for _ in range(3)]))
+    for spec in specs:
+        yield spec, Evaluation(spec), scenario_reduced(spec)
 
 
 def bell_identical_detectors():
