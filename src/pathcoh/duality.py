@@ -11,13 +11,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .coherence import normalized_x, rel_ent_coherence
+from .coherence import normalized_x
 from .discrimination import (
     DiscriminationResult,
     Ensemble,
     Povm,
     accessible_info_lower,
-    holevo,
     min_error_solve,
     mutual_information,
 )
@@ -113,8 +112,8 @@ class Evaluation:
 
     Each is computed on first use and then kept, so the relations checked on
     one scenario share one of each: the N x N rho_A and rho_AB stand-in, the
-    min-error solve, the search, X, purities, C_r, H(p) and entropies. It
-    lives as long as those checks do.
+    min-error solve, the search, X, purities, H(p) and the entropies S(A) and
+    S(AB), which give C_r and chi. It lives as long as those checks do.
     """
 
     def __init__(self, spec: ScenarioSpec):
@@ -176,7 +175,8 @@ class Evaluation:
 
     @cached_property
     def c_r(self) -> float:
-        return rel_ent_coherence(self.rho_a)
+        """C_r(rho_A) = H(diag rho_A) - S(A)."""
+        return shannon_entropy(np.diagonal(self.rho_a).real) - self.entropies[0]
 
     @cached_property
     def h_p(self) -> float:
@@ -184,7 +184,7 @@ class Evaluation:
 
     @cached_property
     def entropies(self) -> tuple[float, float]:
-        """S(A) and S(AB) (= S(D))."""
+        """S(A) and S(AB) (= S(D) = chi, the Holevo quantity of the detector ensemble)."""
         return von_neumann_entropy(self.rho_a), von_neumann_entropy(self.rho_ab_stand_in)
 
 
@@ -234,42 +234,41 @@ def check_mixed_state(spec: ScenarioSpec | Evaluation) -> DualityReport:
 
 def check_entropic_no_memory(spec: ScenarioSpec | Evaluation,
                              m: Povm | None = None) -> DualityReport:
-    """Entropic memoryless relation: I(D:M) + C_r(rho_A) <= H({p_i})."""
+    """Entropic memoryless relation: I(D:M) + C_r(rho_A) <= H({p_i}); certified
+    for every POVM m by Holevo's bound, as ENTROPIC_MEMORY is."""
     ev = Evaluation.of(spec, Relation.ENTROPIC_NO_MEMORY)
     info = ev.info if m is None else mutual_information(ev.ensemble, m)
-    certified = m is not None or ev.solution.certified
     comps = {"I_DM": info, "C_r": ev.c_r, "H_p": ev.h_p}
-    return _report(Relation.ENTROPIC_NO_MEMORY, info + ev.c_r, ev.h_p, comps, certified)
+    return _report(Relation.ENTROPIC_NO_MEMORY, info + ev.c_r, ev.h_p, comps, True)
 
 
 def check_entropic_memory(spec: ScenarioSpec | Evaluation,
                           m: Povm | None = None) -> DualityReport:
-    """Entropic relation with memory: I(D:M) + C_r(rho_A) <= H({p_i}) + S(B|A)."""
+    """Entropic relation with memory: I(D:M) + C_r(rho_A) <= H({p_i}) + S(B|A).
+    The rhs is chi + C_r(rho_A) and Holevo's bound puts I(D:M) at most chi, so
+    it holds for every POVM m, and the row is certified whatever the solve."""
     ev = Evaluation.of(spec, Relation.ENTROPIC_MEMORY)
     info = ev.info if m is None else mutual_information(ev.ensemble, m)
-    certified = m is not None or ev.solution.certified
     s_a, s_ab = ev.entropies
     lhs = info + ev.c_r
     rhs = ev.h_p + (s_ab - s_a)
     comps = {"I_DM": info, "C_r": ev.c_r, "H_p": ev.h_p, "S_A": s_a, "S_AB": s_ab,
              "S_cond_BA": s_ab - s_a}
-    return _report(Relation.ENTROPIC_MEMORY, lhs, rhs, comps, certified)
+    return _report(Relation.ENTROPIC_MEMORY, lhs, rhs, comps, True)
 
 
 def check_accessible_relation(spec: ScenarioSpec | Evaluation) -> DualityReport:
     """Acc(D) + C_r(rho_A) <= H({p_i}) + S(B|A) at the computed lower bound on
-    Acc(D). Holevo's bound puts every I(D:M) at most chi, so a bound above
-    chi + INEQ_TOL means a faulty search."""
+    Acc(D). Holevo's bound puts every I(D:M) at most chi = S(AB), so a bound
+    above chi + INEQ_TOL means a faulty search."""
     ev = Evaluation.of(spec, Relation.ACCESSIBLE)
-    acc = ev.acc_lower
-    chi = holevo(ev.ensemble)
+    acc, (s_a, chi) = ev.acc_lower, ev.entropies
     if not acc <= chi + INEQ_TOL:
         raise AssertionError(f"Acc_lower - holevo = {acc - chi:.3e}: above Holevo's bound")
-    s_a, s_ab = ev.entropies
     lhs = acc + ev.c_r
-    rhs = ev.h_p + (s_ab - s_a)
+    rhs = ev.h_p + (chi - s_a)
     comps = {"Acc_lower": acc, "C_r": ev.c_r, "H_p": ev.h_p, "holevo": chi,
-             "S_cond_BA": s_ab - s_a}
+             "S_cond_BA": chi - s_a}
     return _report(Relation.ACCESSIBLE, lhs, rhs, comps, True)
 
 

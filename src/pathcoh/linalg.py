@@ -154,7 +154,8 @@ def clip_spectrum(w: np.ndarray) -> np.ndarray:
 
 def shannon_entropies(p: np.ndarray) -> np.ndarray:
     """Shannon entropy in bits of each distribution along the last axis of a
-    nonnegative stack; 0 log 0 := 0, while NaN and Infinity propagate.
+    nonnegative stack; 0 log 0 := 0, a point mass gives +0 (not -0), while
+    NaN and Infinity propagate.
 
     Each row's nonzero entries are summed alone and in order: the rows with
     k of them are gathered into one (rows, k) table, so no zero enters a sum
@@ -167,7 +168,7 @@ def shannon_entropies(p: np.ndarray) -> np.ndarray:
     for k in set(counts.tolist()):
         group = counts == k
         nz = rows[nonzero & group[:, None]].reshape(np.count_nonzero(group), k)
-        h[group] = -(nz * np.log2(nz)).sum(axis=-1)
+        h[group] = 0.0 - (nz * np.log2(nz)).sum(axis=-1)
     return h.reshape(p.shape[:-1])
 
 

@@ -286,14 +286,16 @@ class TestRunSweep:
         assert pools == ([] if workers is None else [workers])
 
 
-def _count_calls(monkeypatch, calls, module, name):
-    fn = getattr(module, name)
+def _count_calls(monkeypatch, calls, module, name, raising=True):
+    # With raising=False a name that `module` does not hold is set too, so
+    # the count stays 0 unless the module comes to call it.
+    fn = getattr(module, name, None)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(module, name, counted, raising=raising)
 
 
 class TestSharedEvaluation:
@@ -307,7 +309,9 @@ class TestSharedEvaluation:
         _count_calls(monkeypatch, calls, duality, "min_error_solve")
         _count_calls(monkeypatch, calls, discrimination, "min_error_solve")
         _count_calls(monkeypatch, calls, harness, "min_error_solve_block")
-        _count_calls(monkeypatch, calls, duality, "rel_ent_coherence")
+        for module, name in ((duality, "rel_ent_coherence"), (coherence, "rel_ent_coherence"),
+                             (duality, "holevo"), (discrimination, "holevo")):
+            _count_calls(monkeypatch, calls, module, name, raising=module is not duality)
         for module in (duality, coherence, discrimination):
             _count_calls(monkeypatch, calls, module, "von_neumann_entropy")
         _count_calls(monkeypatch, calls, duality, "mutual_information")
@@ -320,10 +324,10 @@ class TestSharedEvaluation:
         # One block solve of one; ACCESSIBLE reads its POVM too.
         assert calls.count("min_error_solve_block") == 1
         assert calls.count("min_error_solve") == 0
-        # C_r(rho_A) once; S(rho_A) inside it, S(A) and S(AB) shared, and the
-        # Holevo quantity.
-        assert calls.count("rel_ent_coherence") == 1
-        assert calls.count("von_neumann_entropy") == 4
+        # S(A) and S(AB) once each; C_r and chi are read off them.
+        assert calls.count("rel_ent_coherence") == 0
+        assert calls.count("holevo") == 0
+        assert calls.count("von_neumann_entropy") == 2
         # I(D:M) at the min-error POVM once, for both entropic relations;
         # MIXED_STATE reads the shared purities.
         assert calls.count("mutual_information") == 1
@@ -686,6 +690,21 @@ class TestCli:
         res = self.run(*args)
         assert res.exit_code == 3
         assert "[UNCERTIFIED]" in res.output
+        # Holevo's bound holds for every POVM, so the entropic row needs no
+        # certified solve.
+        res = self.run("check", str(p), "--relation", "ENTROPIC_MEMORY")
+        assert res.exit_code == 0
+        assert "[UNCERTIFIED]" not in res.output
+
+    def test_check_prints_no_negative_zero(self, tmp_path):
+        # One path carries all the probability, so H(p), S(A), S(AB) and chi
+        # are exactly 0, and each prints as 0, not -0.
+        doc = dict(SCENARIO_DOC, amplitudes=[[[1.0, 0.0]], [[0.0, 0.0]]])
+        res = self.run("check", str(write_doc(tmp_path, doc)))
+        assert res.exit_code == 0
+        tokens = res.output.replace(" = ", "=").split()
+        assert "H_p=0" in tokens
+        assert not [tok for tok in tokens if tok.endswith("=-0")]
 
     def test_check_tol_overrides_the_verdict(self, tmp_path):
         # The N = 2 equality holds to rounding: slack -1.9e-16 on this scenario.

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from pathcoh.linalg import (
     kron,
     partial_trace,
     purity,
+    shannon_entropies,
     shannon_entropy,
     trace_norm,
     von_neumann_entropy,
@@ -242,6 +245,14 @@ class TestPurityEntropy:
     def test_shannon_entropy(self):
         assert shannon_entropy([0.5, 0.5]) == pytest.approx(1.0)
         assert shannon_entropy([1.0, 0.0]) == 0.0
+
+    def test_zero_entropy_is_positive_zero(self):
+        # -(1 log2 1) is -0; a point mass must print as 0, not -0.
+        assert math.copysign(1.0, shannon_entropy([1.0, 0.0])) == 1.0
+        assert math.copysign(1.0, shannon_entropy([1.0])) == 1.0
+        assert math.copysign(1.0, von_neumann_entropy(np.diag([0.0, 1.0]))) == 1.0
+        assert np.signbit(shannon_entropies(np.array([[0.0, 1.0], [1.0, 0.0]]))).tolist() == [
+            False, False]
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_clip_spectrum_refuses_non_finite(self, bad):
