@@ -11,6 +11,11 @@ def l1_coherence(rho: np.ndarray) -> float:
     """Sum of absolute off-diagonal entries (reference basis = computational)."""
     rho = np.asarray(rho)
     check_density_matrix(rho)
+    return off_diagonal_sum(rho)
+
+
+def off_diagonal_sum(rho: np.ndarray) -> float:
+    """sum_{i != j} |rho_ij|, the l1 coherence of a matrix already checked."""
     return float(np.sum(np.abs(rho)) - np.sum(np.abs(np.diagonal(rho))))
 
 

@@ -456,26 +456,16 @@ def accessible_info_lower(e: Ensemble | list[Ensemble],
 
     `e` may be a list of ensembles of one shape with a list of their min-error
     POVMs; their PGMs are built on one stack and the ascents run in lockstep,
-    each bound bitwise as if alone.
+    each bound bitwise as if alone. The PGM's null projector (0 where the
+    states span the space) is spread over its n outcomes, so it has the
+    same I(D:M) as `pretty_good_measurement` and both starts have n elements.
     """
     single = isinstance(e, Ensemble)
     ensembles, povms = ([e], [min_error_povm]) if single else (e, min_error_povm)
     probs, states = _stacked(ensembles)
     pgm, null = _square_root_measurement(states, probs)
-    # Room for the PGM's completion element: where the PGM has one, the
-    # min-error POVM climbs with a zero element added, which stays zero.
-    n = states.shape[-2]
-    starts = np.zeros((len(ensembles), 2, n + 1) + null.shape[-2:], dtype=complex)
-    starts[:, 0, :n] = [m.elements for m in povms]
-    starts[:, 1, :n] = pgm
-    completed = np.abs(null).max(axis=(-2, -1)) > COMPLETE_TOL
-    starts[completed, 1, n] = null[completed]
-    _check_povms(starts)
-    best = np.empty(len(ensembles))
-    # Ensembles climb with those of their own outcome count, so that no
-    # ensemble's padding depends on the others in its block.
-    for extra in set(completed.tolist()):
-        ids = np.flatnonzero(completed == extra)
-        climbed = _hill_climb([ensembles[j] for j in ids], starts[ids, :, :n + extra])
-        best[ids] = climbed.max(axis=-1)
+    pgm = pgm + null[:, None] / states.shape[-2]
+    _check_povms(pgm)
+    starts = np.stack((np.array([m.elements for m in povms]), pgm), axis=1)
+    best = _hill_climb(ensembles, starts).max(axis=-1)
     return float(best[0]) if single else best.tolist()

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coherence import normalized_x
+from .coherence import off_diagonal_sum
 from .discrimination import (
     DiscriminationResult,
     Ensemble,
@@ -166,7 +166,8 @@ class Evaluation:
 
     @cached_property
     def x(self) -> float:
-        return normalized_x(self.rho_a, self.spec.n)
+        """X = C_l1(rho_A) / N, read off the checked rho_A."""
+        return off_diagonal_sum(self.rho_a) / self.spec.n
 
     @cached_property
     def purities(self) -> tuple[float, float]:
@@ -184,8 +185,10 @@ class Evaluation:
 
     @cached_property
     def entropies(self) -> tuple[float, float]:
-        """S(A) and S(AB) (= S(D) = chi, the Holevo quantity of the detector ensemble)."""
-        return von_neumann_entropy(self.rho_a), von_neumann_entropy(self.rho_ab_stand_in)
+        """S(A) and S(AB) (= S(D) = chi, the Holevo quantity of the detector
+        ensemble); one eigh where the stand-in is rho_A itself (d_B = 1)."""
+        s_a, stand_in = von_neumann_entropy(self.rho_a), self.rho_ab_stand_in
+        return s_a, s_a if stand_in is self.rho_a else von_neumann_entropy(stand_in)
 
 
 def _main_relation(ev: Evaluation, relation: Relation, purity_term: float,

@@ -277,13 +277,17 @@ class TestPrettyGoodMeasurement:
 
 class TestMinErrorSolve:
     def test_matches_helstrom(self):
+        # Helstrom's optimum (1 + ||p_1 rho_1 - p_2 rho_2||_1) / 2, read off
+        # the trace norm, not `helstrom`'s closed form, lies in the bracket
+        # to rounding (measured at most 2.2e-16 outside it).
         for s in range(25):
             rng = np.random.default_rng(s)
             e = random_ensemble(rng, 2, 2 + s % 2)
             res = min_error_solve(e)
             assert res.certified
-            assert res.p_success == pytest.approx(
-                helstrom(e).p_success, abs=1e-8)
+            rho1, rho2 = e.projectors()
+            oracle = (1 + trace_norm(e.probs[0] * rho1 - e.probs[1] * rho2)) / 2
+            assert res.p_success - 1e-12 <= oracle <= res.p_success + res.certificate_gap + 1e-12
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_geometrically_uniform_oracle(self, n):
@@ -383,6 +387,25 @@ class TestPrimalDualOracle:
             for e, res in zip(group, results):
                 assert res.iterations > 0 and res.certified
                 assert abs(res.p_success - helstrom(e).p_success) <= 1e-8
+
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_infeasible_dual_pays_its_residual(self, n):
+        # Y - 1e-6 I is not dual-feasible, so the bound Tr Y holds only with
+        # d*g added; the oracle P_s = (sum_m |c_m|)^2 / n of the geometrically
+        # uniform ensembles of `test_geometrically_uniform_oracle` must stay
+        # below P_s + gap.
+        rng = np.random.default_rng(4000 + n)
+        m = np.arange(n)
+        for _ in range(8):
+            c = haar_state(rng, n)
+            e = Ensemble(np.full(n, 1 / n),
+                         np.array([c * np.exp(2j * np.pi * k * m / n) for k in range(n)]))
+            oracle = float(np.sum(np.abs(c))) ** 2 / n
+            elements, y, iterations = primal_dual([e])
+            weighted = e.probs[:, None, None] * e.projectors()
+            res, = _certified(e.probs[None], e.states[None], weighted[None],
+                              elements, y - 1e-6 * np.eye(n), iterations)
+            assert res.p_success + res.certificate_gap >= oracle - 1e-12
 
 
 class TestBarrierFallback:
@@ -644,15 +667,14 @@ class TestInformation:
 
 
 def ascent_starts(es, povms):
-    """The (ensembles, 2, k, d, d) start stack of `accessible_info_lower`: each
-    min-error POVM and PGM, padded with zero elements to one length."""
-    pgms = [pretty_good_measurement(e).elements for e in es]
-    k = max(len(els) for els in pgms)
+    """The (ensembles, 2, n, d, d) start stack of `accessible_info_lower`: each
+    min-error POVM and PGM, the PGM's completion element, where it has one,
+    spread over its n outcomes."""
+    def spread(e):
+        els = np.array(pretty_good_measurement(e).elements)
+        return els[:e.n] + els[e.n] / e.n if len(els) > e.n else els
 
-    def padded(els):
-        return np.pad(els, ((0, k - len(els)), (0, 0), (0, 0)))
-
-    return np.array([(padded(m.elements), padded(els)) for m, els in zip(povms, pgms)])
+    return np.array([(m.elements, spread(e)) for e, m in zip(es, povms)])
 
 
 # For the detector ensemble e of sample_scenario(subseed(2024, k), N, d_B,
@@ -735,14 +757,18 @@ class TestAccessibleInfoLower:
                          mutual_information(e, pretty_good_measurement(e)))
             assert float.fromhex(expected) > starts + 1e-4, k
 
-    def test_null_space_completion_pads_the_min_error_povm(self):
-        # d_D = 3 > N = 2: the PGM carries a completion element, so the
-        # min-error POVM climbs with a zero third element, which stays zero.
+    def test_null_space_completion_is_spread_over_the_pgm(self):
+        # d_D = 3 > N = 2: the PGM carries a completion element, which the
+        # start spreads over its two outcomes; no phi_i meets the null space,
+        # so I(D:M) stays that of the PGM.
         e = detector_ensemble(sample_scenario(subseed(2024, 40), 2, 1, 3))
         m = min_error_solve(e).povm
-        assert len(m.elements) == 2 and len(pretty_good_measurement(e).elements) == 3
+        pgm = pretty_good_measurement(e)
+        assert len(m.elements) == 2 and len(pgm.elements) == 3
+        spread = Povm(tuple(ascent_starts([e], [m])[0, 1]))
+        assert abs(mutual_information(e, spread) - mutual_information(e, pgm)) <= 1e-15
         lo = accessible_info_lower(e, m)
-        assert mutual_information(e, m) <= lo <= holevo(e) + 1e-9
+        assert max(mutual_information(e, m), mutual_information(e, pgm)) <= lo <= holevo(e) + 1e-9
 
 
 class TestBlockAscent:
@@ -761,17 +787,27 @@ class TestBlockAscent:
             want = _hill_climb([e], ascent_starts([e], [m]))[0]
             assert [float.hex(v) for v in row] == [float.hex(v) for v in want]
 
-    def test_members_with_different_outcome_counts(self):
+    def test_members_with_different_outcome_counts(self, monkeypatch):
         # Two equal states leave rho_D rank 2 < d_D = 3, so that member's PGM
-        # has four elements and the others' three; each still climbs as alone.
+        # has a completion element, which its start spreads over the three
+        # outcomes; the block climbs in one call, each member as alone.
         ens = [detector_ensemble(sample_scenario(subseed(32, i), 3, 1)) for i in range(3)]
         phi = ens[1].states.copy()
         phi[2] = phi[1]
         ens[1] = Ensemble(ens[1].probs, phi)
         povms = [min_error_solve(e).povm for e in ens]
         assert [len(pretty_good_measurement(e).elements) for e in ens] == [3, 4, 3]
+        alone = [accessible_info_lower(e, m) for e, m in zip(ens, povms)]
+        calls = []
+
+        def climb(block, starts):
+            calls.append(starts)
+            return _hill_climb(block, starts)
+
+        monkeypatch.setattr(discrimination, "_hill_climb", climb)
         block = accessible_info_lower(ens, povms)
-        assert block == [accessible_info_lower(e, m) for e, m in zip(ens, povms)]
+        assert len(calls) == 1 and np.array_equal(calls[0], ascent_starts(ens, povms))
+        assert [float.hex(v) for v in block] == [float.hex(v) for v in alone]
 
     def test_members_accept_at_different_steps(self, monkeypatch):
         ens = [detector_ensemble(sample_scenario(subseed(2024, k), 4, 1)) for k in (4, 5, 6)]

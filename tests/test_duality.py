@@ -19,6 +19,7 @@ from pathcoh.duality import (
     check_mixed_state,
     check_two_particle_sum,
     check_two_path_equality,
+    holds,
 )
 from pathcoh.harness import ScenarioParseError, parse_scenario, to_pairs, witness_report
 from pathcoh.interferometer import (
@@ -249,6 +250,18 @@ class TestEntropic:
         for ev in entropic_cases(35):
             assert ev.c_r == rel_ent_coherence(ev.rho_a), (ev.spec.n, ev.spec.d_b, ev.spec.d_d)
 
+    def test_x_is_normalized_x_of_rho_a(self):
+        for ev in entropic_cases(37):
+            want = normalized_x(ev.rho_a, ev.spec.n)
+            assert float.hex(ev.x) == float.hex(want), (ev.spec.n, ev.spec.d_b, ev.spec.d_d)
+
+    def test_s_ab_is_s_a_without_memory(self):
+        # At d_B = 1 the stand-in for rho_AB is rho_A itself.
+        for ev in entropic_cases(38):
+            if ev.spec.d_b == 1:
+                s_a, s_ab = ev.entropies
+                assert float.hex(s_ab) == float.hex(s_a) == float.hex(von_neumann_entropy(ev.rho_a))
+
     def test_entropic_slacks_are_holevo_gaps(self):
         # chi + C_r(rho_A) = H(p) + S(B|A) for a pure ABD state, so each slack
         # is chi - I(D:M) up to the rounding of a few sums of entropies of at
@@ -470,3 +483,10 @@ class TestReportShape:
         assert rep.relation_id is Relation.L1_MEMORY
         assert rep.slack == pytest.approx(rep.rhs - rep.lhs, abs=1e-15)
         assert set(rep.components) >= {"P_s", "X", "purity_A", "purity_AB"}
+
+    def test_holds_on_each_side_of_each_tolerance(self):
+        # INEQ_TOL = 1e-7 and EQ_TOL = 1e-9.
+        assert not holds(-1e-5, equality=False)
+        assert holds(-1e-8, equality=False)
+        assert not holds(2e-9, equality=True) and not holds(-2e-9, equality=True)
+        assert holds(5e-10, equality=True) and holds(-5e-10, equality=True)

@@ -305,7 +305,9 @@ class TestSharedEvaluation:
         calls = []
         for module in (interferometer, coherence):
             _count_calls(monkeypatch, calls, module, "scenario_reduced")
-        _count_calls(monkeypatch, calls, duality, "check_density_matrix")
+        for module in (duality, coherence):
+            _count_calls(monkeypatch, calls, module, "check_density_matrix")
+            _count_calls(monkeypatch, calls, module, "normalized_x", raising=module is not duality)
         _count_calls(monkeypatch, calls, duality, "min_error_solve")
         _count_calls(monkeypatch, calls, discrimination, "min_error_solve")
         _count_calls(monkeypatch, calls, harness, "min_error_solve_block")
@@ -318,16 +320,18 @@ class TestSharedEvaluation:
         _count_calls(monkeypatch, calls, interferometer, "build_mixed_no_memory")
         rows = harness._eval_task(cfg, 0, range(1))
         assert len(rows) == 6
-        # No full-state build; the evaluation checks its rho_A once.
+        # No full-state build; the evaluation checks its rho_A once, and X
+        # is read off that checked rho_A.
         assert calls.count("scenario_reduced") == 0
         assert calls.count("check_density_matrix") == 1
+        assert calls.count("normalized_x") == 0
         # One block solve of one; ACCESSIBLE reads its POVM too.
         assert calls.count("min_error_solve_block") == 1
         assert calls.count("min_error_solve") == 0
-        # S(A) and S(AB) once each; C_r and chi are read off them.
+        # At d_B = 1 S(AB) is S(A): one entropy; C_r and chi are read off it.
         assert calls.count("rel_ent_coherence") == 0
         assert calls.count("holevo") == 0
-        assert calls.count("von_neumann_entropy") == 2
+        assert calls.count("von_neumann_entropy") == 1
         # I(D:M) at the min-error POVM once, for both entropic relations;
         # MIXED_STATE reads the shared purities.
         assert calls.count("mutual_information") == 1
