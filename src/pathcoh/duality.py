@@ -15,7 +15,6 @@ from .coherence import off_diagonal_sum
 from .discrimination import (
     DiscriminationResult,
     Ensemble,
-    Povm,
     accessible_info_lower,
     min_error_solve,
     mutual_information,
@@ -235,27 +234,23 @@ def check_mixed_state(spec: ScenarioSpec | Evaluation) -> DualityReport:
                           purity_D=pur_d, certificate_gap=ev.solution.certificate_gap)
 
 
-def check_entropic_no_memory(spec: ScenarioSpec | Evaluation,
-                             m: Povm | None = None) -> DualityReport:
-    """Entropic memoryless relation: I(D:M) + C_r(rho_A) <= H({p_i}); certified
-    for every POVM m by Holevo's bound, as ENTROPIC_MEMORY is."""
+def check_entropic_no_memory(spec: ScenarioSpec | Evaluation) -> DualityReport:
+    """Entropic memoryless relation at the min-error POVM M: I(D:M) + C_r(rho_A)
+    <= H({p_i}); certified by Holevo's bound, as ENTROPIC_MEMORY is."""
     ev = Evaluation.of(spec, Relation.ENTROPIC_NO_MEMORY)
-    info = ev.info if m is None else mutual_information(ev.ensemble, m)
-    comps = {"I_DM": info, "C_r": ev.c_r, "H_p": ev.h_p}
-    return _report(Relation.ENTROPIC_NO_MEMORY, info + ev.c_r, ev.h_p, comps, True)
+    comps = {"I_DM": ev.info, "C_r": ev.c_r, "H_p": ev.h_p}
+    return _report(Relation.ENTROPIC_NO_MEMORY, ev.info + ev.c_r, ev.h_p, comps, True)
 
 
-def check_entropic_memory(spec: ScenarioSpec | Evaluation,
-                          m: Povm | None = None) -> DualityReport:
-    """Entropic relation with memory: I(D:M) + C_r(rho_A) <= H({p_i}) + S(B|A).
-    The rhs is chi + C_r(rho_A) and Holevo's bound puts I(D:M) at most chi, so
-    it holds for every POVM m, and the row is certified whatever the solve."""
+def check_entropic_memory(spec: ScenarioSpec | Evaluation) -> DualityReport:
+    """Entropic relation with memory at the min-error POVM M: I(D:M) + C_r(rho_A)
+    <= H({p_i}) + S(B|A). The rhs is chi + C_r(rho_A) and Holevo's bound puts
+    I(D:M) at most chi, so the row is certified whatever the solve."""
     ev = Evaluation.of(spec, Relation.ENTROPIC_MEMORY)
-    info = ev.info if m is None else mutual_information(ev.ensemble, m)
     s_a, s_ab = ev.entropies
-    lhs = info + ev.c_r
+    lhs = ev.info + ev.c_r
     rhs = ev.h_p + (s_ab - s_a)
-    comps = {"I_DM": info, "C_r": ev.c_r, "H_p": ev.h_p, "S_A": s_a, "S_AB": s_ab,
+    comps = {"I_DM": ev.info, "C_r": ev.c_r, "H_p": ev.h_p, "S_A": s_a, "S_AB": s_ab,
              "S_cond_BA": s_ab - s_a}
     return _report(Relation.ENTROPIC_MEMORY, lhs, rhs, comps, True)
 

@@ -157,19 +157,11 @@ def shannon_entropies(p: np.ndarray) -> np.ndarray:
     nonnegative stack; 0 log 0 := 0, a point mass gives +0 (not -0), while
     NaN and Infinity propagate.
 
-    Each row's nonzero entries are summed alone and in order: the rows with
-    k of them are gathered into one (rows, k) table, so no zero enters a sum
-    and each value is bitwise that of its row by itself.
+    One masked sum over the last axis: a zero entry adds an exact 0 term, so
+    each value is bitwise that of its row by itself.
     """
-    rows = p.reshape(-1, p.shape[-1])
-    nonzero = rows != 0.0
-    counts = np.count_nonzero(nonzero, axis=-1)
-    h = np.empty(len(rows))
-    for k in set(counts.tolist()):
-        group = counts == k
-        nz = rows[nonzero & group[:, None]].reshape(np.count_nonzero(group), k)
-        h[group] = 0.0 - (nz * np.log2(nz)).sum(axis=-1)
-    return h.reshape(p.shape[:-1])
+    nz = p != 0.0
+    return 0.0 - np.where(nz, p * np.log2(np.where(nz, p, 1.0)), 0.0).sum(axis=-1)
 
 
 def shannon_entropy(p) -> float:

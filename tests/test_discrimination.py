@@ -834,8 +834,9 @@ class TestBlockAscent:
 
 class TestStackedChecks:
     def test_entropies_match_shannon_entropy(self):
-        # Rows of 12, as the joint table of N = 4 and 3 outcomes: from 8 terms
-        # on, numpy sums in a pairwise grouping that a dropped zero shifts.
+        # Rows of 12, as the joint table of N = 4 and 3 outcomes: a masked zero
+        # adds an exact 0 term in its place, so the stack's pairwise grouping
+        # is each row's own, and every row is bitwise its entropy alone.
         rng = np.random.default_rng(8)
         p = rng.dirichlet(np.ones(12), size=(3, 4))
         p[0, 1, 2] = 0.0
@@ -846,7 +847,7 @@ class TestStackedChecks:
         assert h.shape == (3, 4)
         for idx in np.ndindex(3, 4):
             assert float.hex(float(h[idx])) == float.hex(shannon_entropy(p[idx]))
-        # A NaN is no zero to drop: it reaches its row's entropy alone.
+        # A NaN is no zero to mask: it reaches its row's entropy alone.
         h = shannon_entropies(np.array([[0.5, np.nan, 0.0], [0.5, 0.5, 0.0]]))
         assert np.isnan(h[0]) and h[1] == 1.0
 

@@ -246,6 +246,19 @@ class TestPurityEntropy:
         assert shannon_entropy([0.5, 0.5]) == pytest.approx(1.0)
         assert shannon_entropy([1.0, 0.0]) == 0.0
 
+    @pytest.mark.parametrize("k", [8, 9, 16, 25])
+    def test_entropies_with_zeros_match_fsum(self, k):
+        # From 8 terms on numpy sums pairwise, and the zeros take part in the
+        # grouping; each row must still lie within 4 ulp of a correctly
+        # rounded sum of its nonzero terms.
+        rng = np.random.default_rng(7000 + k)
+        p = rng.dirichlet(np.ones(k), size=200)
+        p[rng.random(p.shape) < 0.3] = 0.0
+        assert 0.2 < np.mean(p == 0.0) < 0.4
+        for row, h in zip(p, shannon_entropies(p)):
+            want = -math.fsum(x * math.log2(x) for x in row if x != 0.0)
+            assert abs(float(h) - want) <= 4 * math.ulp(want)
+
     def test_zero_entropy_is_positive_zero(self):
         # -(1 log2 1) is -0; a point mass must print as 0, not -0.
         assert math.copysign(1.0, shannon_entropy([1.0, 0.0])) == 1.0
